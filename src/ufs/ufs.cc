@@ -264,7 +264,7 @@ Result<Inode*> Ufs::GetInode(InodeNum ino) {
   }
   Buffer block(kBlockSize);
   BlockNum itb_block = sb_.itb_start + ino / kInodesPerBlock;
-  RETURN_IF_ERROR(ReadDeviceBlock(itb_block, block.mutable_span()));
+  RETURN_IF_ERROR(ReadMetaBlock(itb_block, block.mutable_span()));
   size_t slot = (ino % kInodesPerBlock) * kInodeSize;
   ASSIGN_OR_RETURN(Inode inode, Inode::Decode(block.subspan(slot, kInodeSize)));
   auto [pos, inserted] = inode_cache_.emplace(ino, CachedInode{inode, false});
@@ -306,7 +306,7 @@ Status Ufs::FreeInode(InodeNum ino) {
   // a stale cached copy must not resurrect after the number is reused.
   Buffer block(kBlockSize);
   BlockNum itb_block = sb_.itb_start + ino / kInodesPerBlock;
-  RETURN_IF_ERROR(ReadDeviceBlock(itb_block, block.mutable_span()));
+  RETURN_IF_ERROR(ReadMetaBlock(itb_block, block.mutable_span()));
   size_t slot = (ino % kInodesPerBlock) * kInodeSize;
   inode->Encode(block.mutable_span().subspan(slot, kInodeSize));
   RETURN_IF_ERROR(WriteDeviceBlock(itb_block, block.span()));
@@ -332,6 +332,8 @@ Status Ufs::FreeBlock(BlockNum block) {
   SPRINGFS_CHECK(data_bitmap_.Get(block));
   data_bitmap_.Clear(block);
   ++sb_.free_blocks;
+  // A freed block may come back as file data, which is never cached.
+  meta_cache_.erase(block);
   return Status::Ok();
 }
 
@@ -347,13 +349,35 @@ Status Ufs::ReadDeviceBlock(BlockNum block, MutableByteSpan out) {
   return device_->ReadBlock(block, out);
 }
 
-Status Ufs::WriteDeviceBlock(BlockNum block, ByteSpan data) {
-  if (journaled_) {
-    SPRINGFS_CHECK(data.size() == kBlockSize);
-    pending_.insert_or_assign(block, Buffer(data));
+Status Ufs::ReadMetaBlock(BlockNum block, MutableByteSpan out) {
+  SPRINGFS_CHECK(out.size() >= kBlockSize);
+  if (journaled_ && pending_.count(block) != 0) {
+    return ReadDeviceBlock(block, out);
+  }
+  auto cached = meta_cache_.find(block);
+  if (cached != meta_cache_.end()) {
+    ++meta_cache_hits_;
+    std::memcpy(out.data(), cached->second.data(), kBlockSize);
     return Status::Ok();
   }
-  return device_->WriteBlock(block, data);
+  ++meta_cache_misses_;
+  RETURN_IF_ERROR(device_->ReadBlock(block, out));
+  meta_cache_.emplace(block, Buffer(out.data(), kBlockSize));
+  return Status::Ok();
+}
+
+Status Ufs::WriteDeviceBlock(BlockNum block, ByteSpan data) {
+  SPRINGFS_CHECK(data.size() == kBlockSize);
+  if (journaled_) {
+    pending_.insert_or_assign(block, Buffer(data));
+  } else {
+    RETURN_IF_ERROR(device_->WriteBlock(block, data));
+  }
+  auto cached = meta_cache_.find(block);
+  if (cached != meta_cache_.end()) {
+    std::memcpy(cached->second.data(), data.data(), kBlockSize);
+  }
+  return Status::Ok();
 }
 
 // --- block mapping ---
@@ -386,7 +410,7 @@ Result<BlockNum> Ufs::MapFileBlock(Inode* inode, uint64_t file_block,
       *slot_holder = fresh;
     }
     Buffer ptr_block(kBlockSize);
-    RETURN_IF_ERROR(ReadDeviceBlock(*slot_holder, ptr_block.mutable_span()));
+    RETURN_IF_ERROR(ReadMetaBlock(*slot_holder, ptr_block.mutable_span()));
     uint64_t target = GetU64(ptr_block.data() + 8 * index);
     if (target == 0 && allocate && alloc_leaf) {
       ASSIGN_OR_RETURN(BlockNum fresh, AllocBlock());
@@ -443,7 +467,7 @@ Status Ufs::FreeBlocksFrom(Inode* inode, uint64_t first_block) {
       uint64_t begin =
           first_block > range_start ? first_block - range_start : 0;
       Buffer ptr_block(kBlockSize);
-      RETURN_IF_ERROR(ReadDeviceBlock(inode->indirect, ptr_block.mutable_span()));
+      RETURN_IF_ERROR(ReadMetaBlock(inode->indirect, ptr_block.mutable_span()));
       bool any_left = false;
       for (uint64_t i = 0; i < kPtrsPerBlock; ++i) {
         uint64_t target = GetU64(ptr_block.data() + 8 * i);
@@ -469,7 +493,7 @@ Status Ufs::FreeBlocksFrom(Inode* inode, uint64_t first_block) {
   if (inode->dindirect != 0) {
     uint64_t range_start = kNumDirect + kPtrsPerBlock;
     Buffer outer_block(kBlockSize);
-    RETURN_IF_ERROR(ReadDeviceBlock(inode->dindirect, outer_block.mutable_span()));
+    RETURN_IF_ERROR(ReadMetaBlock(inode->dindirect, outer_block.mutable_span()));
     bool outer_left = false;
     for (uint64_t o = 0; o < kPtrsPerBlock; ++o) {
       uint64_t level2 = GetU64(outer_block.data() + 8 * o);
@@ -483,7 +507,7 @@ Status Ufs::FreeBlocksFrom(Inode* inode, uint64_t first_block) {
       }
       uint64_t begin = first_block > seg_start ? first_block - seg_start : 0;
       Buffer inner_block(kBlockSize);
-      RETURN_IF_ERROR(ReadDeviceBlock(level2, inner_block.mutable_span()));
+      RETURN_IF_ERROR(ReadMetaBlock(level2, inner_block.mutable_span()));
       bool inner_left = false;
       for (uint64_t i = 0; i < kPtrsPerBlock; ++i) {
         uint64_t target = GetU64(inner_block.data() + 8 * i);
@@ -526,7 +550,7 @@ Result<InodeNum> Ufs::DirLookup(Inode* dir_inode, std::string_view name,
     if (dev_block == 0) {
       continue;
     }
-    RETURN_IF_ERROR(ReadDeviceBlock(dev_block, block.mutable_span()));
+    RETURN_IF_ERROR(ReadMetaBlock(dev_block, block.mutable_span()));
     for (uint32_t e = 0; e < kDirEntriesPerBlock; ++e) {
       DirEntry entry = DirEntry::Decode(block.subspan(e * kDirEntrySize,
                                                       kDirEntrySize));
@@ -561,7 +585,7 @@ Status Ufs::DirAddEntry(InodeNum dir_ino, Inode* dir_inode,
     if (dev_block == 0) {
       continue;
     }
-    RETURN_IF_ERROR(ReadDeviceBlock(dev_block, block.mutable_span()));
+    RETURN_IF_ERROR(ReadMetaBlock(dev_block, block.mutable_span()));
     for (uint32_t e = 0; e < kDirEntriesPerBlock; ++e) {
       DirEntry entry = DirEntry::Decode(block.subspan(e * kDirEntrySize,
                                                       kDirEntrySize));
@@ -594,7 +618,7 @@ Status Ufs::DirRemoveEntry(Inode* dir_inode, std::string_view name) {
     if (dev_block == 0) {
       continue;
     }
-    RETURN_IF_ERROR(ReadDeviceBlock(dev_block, block.mutable_span()));
+    RETURN_IF_ERROR(ReadMetaBlock(dev_block, block.mutable_span()));
     for (uint32_t e = 0; e < kDirEntriesPerBlock; ++e) {
       DirEntry entry = DirEntry::Decode(block.subspan(e * kDirEntrySize,
                                                       kDirEntrySize));
@@ -618,7 +642,7 @@ Result<bool> Ufs::DirIsEmpty(Inode* dir_inode) {
     if (dev_block == 0) {
       continue;
     }
-    RETURN_IF_ERROR(ReadDeviceBlock(dev_block, block.mutable_span()));
+    RETURN_IF_ERROR(ReadMetaBlock(dev_block, block.mutable_span()));
     for (uint32_t e = 0; e < kDirEntriesPerBlock; ++e) {
       DirEntry entry = DirEntry::Decode(block.subspan(e * kDirEntrySize,
                                                       kDirEntrySize));
@@ -671,7 +695,7 @@ Result<InodeNum> Ufs::Create(InodeNum dir, std::string_view name,
   RETURN_IF_ERROR(WriteInode(ino));
   Status add = DirAddEntry(dir, dir_inode, name, ino);
   if (!add.ok()) {
-    (void)FreeInode(ino);
+    RETURN_IF_ERROR(FreeInode(ino));
     return add;
   }
   dirent_cache_[std::make_pair(dir, std::string(name))] = ino;
@@ -766,7 +790,7 @@ Result<std::vector<NamedEntry>> Ufs::ReadDir(InodeNum dir) {
     if (dev_block == 0) {
       continue;
     }
-    RETURN_IF_ERROR(ReadDeviceBlock(dev_block, block.mutable_span()));
+    RETURN_IF_ERROR(ReadMetaBlock(dev_block, block.mutable_span()));
     for (uint32_t e = 0; e < kDirEntriesPerBlock; ++e) {
       DirEntry entry = DirEntry::Decode(block.subspan(e * kDirEntrySize,
                                                       kDirEntrySize));
@@ -949,7 +973,7 @@ Status Ufs::Sync() {
       continue;
     }
     BlockNum itb_block = sb_.itb_start + ino / kInodesPerBlock;
-    RETURN_IF_ERROR(ReadDeviceBlock(itb_block, block.mutable_span()));
+    RETURN_IF_ERROR(ReadMetaBlock(itb_block, block.mutable_span()));
     size_t slot = (ino % kInodesPerBlock) * kInodeSize;
     cached.inode.Encode(block.mutable_span().subspan(slot, kInodeSize));
     RETURN_IF_ERROR(WriteDeviceBlock(itb_block, block.span()));
@@ -1072,6 +1096,9 @@ void Ufs::CollectStats(const metrics::StatsEmitter& emit) const {
   std::lock_guard<std::mutex> lock(mutex_);
   emit("inode_cache_hits", cache_hits_);
   emit("inode_cache_misses", cache_misses_);
+  emit("meta_cache_hits", meta_cache_hits_);
+  emit("meta_cache_misses", meta_cache_misses_);
+  emit("meta_cache_blocks", meta_cache_.size());
   emit("journal_commits", journal_commits_);
   // Syncs whose transaction exceeded the journal and fell back to
   // unprotected in-place writes (crash tests keep this at 0).

@@ -1,12 +1,14 @@
 // UFS-like file system over a BlockDevice.
 //
 // This is the storage substrate underneath the Spring disk layer. It keeps
-// an in-memory inode cache (the paper notes the disk layer "maintains its
-// own cache to handle open and stat operations without requiring disk
-// I/Os") but deliberately performs no data caching: reads and writes go to
-// the device, matching Table 2's disk-layer behaviour ("reads and writes to
-// the disk layer do require disk I/Os"). Data caching is the job of the VMM
-// and the coherency layer above.
+// an in-memory inode cache and an image of every metadata block it parses —
+// inode-table blocks, pointer blocks and directory blocks — so that, as the
+// paper notes, the disk layer "maintains its own cache to handle open and
+// stat operations without requiring disk I/Os", and mapping a file block
+// reads its pointer blocks from the device only once. File data is never
+// cached: reads and writes of data go to the device, matching Table 2's
+// disk-layer behaviour ("reads and writes to the disk layer do require disk
+// I/Os"). Data caching is the job of the VMM and the coherency layer above.
 
 #ifndef SPRINGFS_UFS_UFS_H_
 #define SPRINGFS_UFS_UFS_H_
@@ -17,6 +19,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "src/blockdev/block_device.h"
@@ -169,8 +172,13 @@ class Ufs : public metrics::StatsProvider {
 
   // Device access. When journaled, writes land in `pending_` (the open
   // transaction) and reads see pending content first; nothing touches the
-  // device between syncs except cache-miss reads.
+  // device between syncs except cache-miss reads. ReadDeviceBlock is for
+  // file data and never caches; ReadMetaBlock is for blocks the file system
+  // parses and looks in `pending_`, then `meta_cache_`, then the device
+  // (filling the cache). WriteDeviceBlock refreshes a cached image — in
+  // journal-less mode only once the device write succeeded.
   Status ReadDeviceBlock(BlockNum block, MutableByteSpan out);
+  Status ReadMetaBlock(BlockNum block, MutableByteSpan out);
   Status WriteDeviceBlock(BlockNum block, ByteSpan data);
 
   // Journaled sync: partitions `pending_` into freshly-allocated data
@@ -210,6 +218,13 @@ class Ufs : public metrics::StatsProvider {
   uint64_t next_generation_ = 1;
   mutable uint64_t cache_hits_ = 0;
   mutable uint64_t cache_misses_ = 0;
+  // Metadata block images, current as of the latest write (pending or on
+  // the device). Unbounded: the metadata footprint bounds it — the inode
+  // table, directory blocks and one pointer block per kPtrsPerBlock mapped
+  // data blocks. FreeBlock evicts, so a block reused for data leaves it.
+  std::unordered_map<BlockNum, Buffer> meta_cache_;
+  uint64_t meta_cache_hits_ = 0;
+  uint64_t meta_cache_misses_ = 0;
 
   // Journal state (only used when journaled_).
   bool journaled_ = false;

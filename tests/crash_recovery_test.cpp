@@ -11,10 +11,18 @@
 //
 // A control suite formats without the journal and asserts the same harness
 // detects corruption — proof the crash model has teeth.
+//
+// Two workload shapes run through the harness: small files that stay in the
+// direct blocks, and files whose writes and truncates cross into the
+// single- and double-indirect ranges, so crash points land on journaled
+// pointer blocks.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <set>
 #include <string>
@@ -31,33 +39,120 @@ namespace springfs {
 namespace {
 
 using ufs::kBlockSize;
+using ufs::kNumDirect;
+using ufs::kPtrsPerBlock;
 using ufs::kRootInode;
 
 constexpr uint64_t kDevBlocks = 1024;
 constexpr int kSteps = 60;
 
+// One file's expected content: its size plus the blocks ever written, so a
+// sparse file reaching into the double-indirect range costs the model only
+// the blocks it holds.
+struct FileModel {
+  uint64_t size = 0;
+  std::map<uint64_t, Buffer> blocks;  // file block -> kBlockSize bytes
+
+  void Write(uint64_t offset, ByteSpan data) {
+    for (size_t done = 0; done < data.size();) {
+      uint64_t at = offset + done;
+      size_t in_block = at % kBlockSize;
+      size_t chunk = std::min<size_t>(kBlockSize - in_block, data.size() - done);
+      Buffer& block = blocks[at / kBlockSize];
+      block.resize(kBlockSize);
+      std::memcpy(block.data() + in_block, data.data() + done, chunk);
+      done += chunk;
+    }
+    size = std::max<uint64_t>(size, offset + data.size());
+  }
+
+  // Like Ufs::Truncate: shrinking drops whole blocks past the new end and
+  // zeroes the tail of the new last block; growing adds a hole.
+  void Resize(uint64_t new_size) {
+    if (new_size < size) {
+      blocks.erase(blocks.lower_bound((new_size + kBlockSize - 1) / kBlockSize),
+                   blocks.end());
+      auto last = blocks.find(new_size / kBlockSize);
+      if (last != blocks.end()) {
+        size_t keep = new_size % kBlockSize;
+        std::memset(last->second.data() + keep, 0, kBlockSize - keep);
+      }
+    }
+    size = new_size;
+  }
+
+  // Bytes [offset, offset + out.size()); zeros in holes.
+  void Read(uint64_t offset, MutableByteSpan out) const {
+    std::memset(out.data(), 0, out.size());
+    for (auto it = blocks.lower_bound(offset / kBlockSize);
+         it != blocks.end() && it->first * kBlockSize < offset + out.size();
+         ++it) {
+      uint64_t block_start = it->first * kBlockSize;
+      uint64_t lo = std::max(offset, block_start);
+      uint64_t hi = std::min(offset + out.size(), block_start + kBlockSize);
+      std::memcpy(out.data() + (lo - offset),
+                  it->second.data() + (lo - block_start), hi - lo);
+    }
+  }
+};
+
 // name -> file content; the workload's in-memory truth.
-using Model = std::map<std::string, Buffer>;
+using Model = std::map<std::string, FileModel>;
+
+// How many files a workload keeps, where it writes, how much, and how far
+// it truncates. Each draws from the workload's rng, so a shape replays
+// exactly from its seed.
+struct Shape {
+  size_t max_files;  // at this many, a create step writes instead
+  uint64_t (*write_offset)(Rng& rng);
+  uint64_t max_write;  // bytes
+  uint64_t (*truncate_size)(Rng& rng);
+};
+
+// Small files: every byte lives in the direct blocks.
+const Shape kDirectShape = {
+    SIZE_MAX,
+    [](Rng& rng) { return rng.Below(4 * kBlockSize); },
+    2 * kBlockSize,
+    [](Rng& rng) { return rng.Below(3 * kBlockSize); },
+};
+
+// A few files past the direct blocks. Writes and truncate points fall in
+// the same three places: the direct blocks, the start of the
+// single-indirect range, and (sparsely) the start of the first two
+// second-level blocks of the double-indirect range. Shrinking then frees
+// pointer blocks across both boundaries, and often frees part of a pointer
+// block, which rewrites it.
+constexpr uint64_t kDoubleStart = kNumDirect + kPtrsPerBlock;
+uint64_t PointerShapeOffset(Rng& rng) {
+  uint64_t block = 0;
+  switch (rng.Below(4)) {
+    case 0:
+      block = rng.Below(kNumDirect);
+      break;
+    case 1:
+    case 2:
+      block = kNumDirect + rng.Below(16);
+      break;
+    default:
+      block = kDoubleStart + rng.Below(2) * kPtrsPerBlock + rng.Below(8);
+      break;
+  }
+  return block * kBlockSize + rng.Below(kBlockSize);
+}
+const Shape kPointerShape = {3, PointerShapeOffset, 6 * kBlockSize,
+                             PointerShapeOffset};
 
 std::unique_ptr<FaultyBlockDevice> MakeDevice() {
   return std::make_unique<FaultyBlockDevice>(
       std::make_unique<MemBlockDevice>(kBlockSize, kDevBlocks));
 }
 
-void ModelWrite(Model& model, const std::string& name, uint64_t offset,
-                ByteSpan data) {
-  Buffer& content = model[name];
-  if (content.size() < offset + data.size()) {
-    content.resize(offset + data.size());  // zero-fill, like a file hole
-  }
-  content.WriteAt(offset, data);
-}
-
 // Runs the seeded workload. Snapshots the model keyed by the journal
 // transaction that persists it: before each Sync the upcoming transaction
 // id is last_committed_tx() + 1. Returns false when the device crashed
 // mid-workload (the armed run); the dry run always returns true.
-bool RunWorkload(ufs::Ufs* fs, uint64_t seed,
+bool RunWorkload(ufs::Ufs* fs, const Shape& shape, uint64_t seed,
                  std::map<uint64_t, Model>* snapshots) {
   Rng rng(seed);
   Model model;
@@ -68,17 +163,17 @@ bool RunWorkload(ufs::Ufs* fs, uint64_t seed,
   std::vector<std::string> names;
   for (int step = 0; step < kSteps; ++step) {
     uint64_t dice = rng.Below(100);
-    if (dice < 25 || names.empty()) {
+    if ((dice < 25 && names.size() < shape.max_files) || names.empty()) {
       std::string name = "f" + std::to_string(next_file++);
       if (!fs->Create(kRootInode, name, ufs::FileType::kRegular).ok()) {
         return false;
       }
       names.push_back(name);
-      model[name] = Buffer();
+      model[name] = FileModel();
     } else if (dice < 60) {
       const std::string& name = names[rng.Below(names.size())];
-      uint64_t offset = rng.Below(4 * kBlockSize);
-      Buffer data(rng.Range(1, 2 * kBlockSize));
+      uint64_t offset = shape.write_offset(rng);
+      Buffer data(rng.Range(1, shape.max_write));
       rng.Fill(data.mutable_span());
       ufs::InodeNum ino = 0;
       {
@@ -91,18 +186,18 @@ bool RunWorkload(ufs::Ufs* fs, uint64_t seed,
       if (!fs->Write(ino, offset, data.span()).ok()) {
         return false;
       }
-      ModelWrite(model, name, offset, data.span());
+      model[name].Write(offset, data.span());
     } else if (dice < 70) {
       const std::string& name = names[rng.Below(names.size())];
       auto looked = fs->Lookup(kRootInode, name);
       if (!looked.ok()) {
         return false;
       }
-      uint64_t new_size = rng.Below(3 * kBlockSize);
+      uint64_t new_size = shape.truncate_size(rng);
       if (!fs->Truncate(*looked, new_size).ok()) {
         return false;
       }
-      model[name].resize(new_size);
+      model[name].Resize(new_size);
     } else if (dice < 80) {
       size_t pick = rng.Below(names.size());
       std::string name = names[pick];
@@ -129,7 +224,7 @@ bool RunWorkload(ufs::Ufs* fs, uint64_t seed,
 // Phase one of the harness: run the workload unarmed and count the device
 // writes it performs after format, so the crash point can be placed
 // uniformly among them.
-uint64_t CountWorkloadWrites(uint64_t seed, bool journal) {
+uint64_t CountWorkloadWrites(const Shape& shape, uint64_t seed, bool journal) {
   auto device = MakeDevice();
   auto fs = ufs::Ufs::Format(device.get(), &DefaultClock(),
                              ufs::FormatOptions{journal});
@@ -138,7 +233,7 @@ uint64_t CountWorkloadWrites(uint64_t seed, bool journal) {
     return 0;
   }
   uint64_t before = device->stats().writes;
-  EXPECT_TRUE(RunWorkload(fs->get(), seed, nullptr));
+  EXPECT_TRUE(RunWorkload(fs->get(), shape, seed, nullptr));
   EXPECT_EQ(metrics::StatValue(**fs, "journal_overflow_syncs"), 0u);
   uint64_t writes = device->stats().writes - before;
   (*fs)->Abandon();  // already synced; skip the unmount sync
@@ -146,7 +241,7 @@ uint64_t CountWorkloadWrites(uint64_t seed, bool journal) {
 }
 
 // Verifies the recovered file system matches `want` exactly: same directory
-// listing, same sizes, same bytes.
+// listing, same sizes, same bytes (compared a chunk at a time).
 void ExpectMatchesModel(ufs::Ufs* fs, const Model& want) {
   auto listing = fs->ReadDir(kRootInode);
   ASSERT_TRUE(listing.ok()) << listing.status().ToString();
@@ -164,22 +259,29 @@ void ExpectMatchesModel(ufs::Ufs* fs, const Model& want) {
     ASSERT_TRUE(looked.ok()) << "lost file " << name;
     auto attrs = fs->GetAttrs(*looked);
     ASSERT_TRUE(attrs.ok());
-    ASSERT_EQ(attrs->size, content.size()) << "size of " << name;
-    Buffer got(content.size());
-    auto n = fs->Read(*looked, 0, got.mutable_span());
-    ASSERT_TRUE(n.ok()) << n.status().ToString();
-    ASSERT_EQ(*n, content.size());
-    EXPECT_TRUE(got == content) << "content of " << name;
+    ASSERT_EQ(attrs->size, content.size) << "size of " << name;
+    constexpr uint64_t kChunk = 64 * kBlockSize;
+    for (uint64_t offset = 0; offset < content.size; offset += kChunk) {
+      size_t len = std::min(kChunk, content.size - offset);
+      Buffer got(len);
+      auto n = fs->Read(*looked, offset, got.mutable_span());
+      ASSERT_TRUE(n.ok()) << n.status().ToString();
+      ASSERT_EQ(*n, len);
+      Buffer want_bytes(len);
+      content.Read(offset, want_bytes.mutable_span());
+      ASSERT_TRUE(got == want_bytes)
+          << "content of " << name << " at offset " << offset;
+    }
   }
 }
 
 // One full crash/recovery property check for one seed.
-void RunCrashSeed(uint64_t seed) {
+void RunCrashSeed(const Shape& shape, uint64_t seed) {
   // Per-seed black box (see tests/chaos_dfs_test.cpp): a failure dump below
   // then shows only this seed's journal/crash events.
   flight::Clear();
   SCOPED_TRACE("seed=" + std::to_string(seed));
-  uint64_t writes = CountWorkloadWrites(seed, /*journal=*/true);
+  uint64_t writes = CountWorkloadWrites(shape, seed, /*journal=*/true);
   ASSERT_GT(writes, 0u);
 
   Rng pick(seed ^ 0xC0FFEE);
@@ -192,7 +294,7 @@ void RunCrashSeed(uint64_t seed) {
   ASSERT_TRUE(formatted.ok());
   std::map<uint64_t, Model> snapshots;
   device->ArmCrash(plan);
-  bool completed = RunWorkload(formatted->get(), seed, &snapshots);
+  bool completed = RunWorkload(formatted->get(), shape, seed, &snapshots);
   ASSERT_FALSE(completed) << "workload survived the planned crash";
   ASSERT_TRUE(device->crashed());
 
@@ -229,8 +331,8 @@ void RunCrashSeed(uint64_t seed) {
 
 // The same crash applied to a journal-less format: returns true when the
 // harness catches the damage (unmountable image or checker errors).
-bool CrashWithoutJournalIsDetected(uint64_t seed) {
-  uint64_t writes = CountWorkloadWrites(seed, /*journal=*/false);
+bool CrashWithoutJournalIsDetected(const Shape& shape, uint64_t seed) {
+  uint64_t writes = CountWorkloadWrites(shape, seed, /*journal=*/false);
   if (writes == 0) {
     return false;
   }
@@ -244,7 +346,7 @@ bool CrashWithoutJournalIsDetected(uint64_t seed) {
                                     ufs::FormatOptions{/*journal=*/false});
   EXPECT_TRUE(formatted.ok());
   device->ArmCrash(plan);
-  (void)RunWorkload(formatted->get(), seed, nullptr);
+  (void)RunWorkload(formatted->get(), shape, seed, nullptr);
   (*formatted)->Abandon();
   formatted->reset();
   device->RecoverAfterCrash();
@@ -459,10 +561,10 @@ TEST(CrashRecovery, JournalOffFormatStillWorks) {
 
 // On the first failing seed, print the flight recorder (journal commits,
 // replay decisions, injected crash point) and save it for CI upload.
-void RunCrashShard(uint64_t first_seed) {
+void RunCrashShard(const Shape& shape, uint64_t first_seed) {
   bool dumped = false;
   for (uint64_t seed = first_seed; seed < first_seed + 55; ++seed) {
-    RunCrashSeed(seed);
+    RunCrashSeed(shape, seed);
     if (!dumped && ::testing::Test::HasFailure()) {
       dumped = true;
       std::string header = "crash seed=" + std::to_string(seed);
@@ -477,10 +579,34 @@ void RunCrashShard(uint64_t first_seed) {
   }
 }
 
-TEST(CrashRecovery, SeededCrashPointsShard0) { RunCrashShard(1000); }
-TEST(CrashRecovery, SeededCrashPointsShard1) { RunCrashShard(2000); }
-TEST(CrashRecovery, SeededCrashPointsShard2) { RunCrashShard(3000); }
-TEST(CrashRecovery, SeededCrashPointsShard3) { RunCrashShard(4000); }
+TEST(CrashRecovery, SeededCrashPointsShard0) {
+  RunCrashShard(kDirectShape, 1000);
+}
+TEST(CrashRecovery, SeededCrashPointsShard1) {
+  RunCrashShard(kDirectShape, 2000);
+}
+TEST(CrashRecovery, SeededCrashPointsShard2) {
+  RunCrashShard(kDirectShape, 3000);
+}
+TEST(CrashRecovery, SeededCrashPointsShard3) {
+  RunCrashShard(kDirectShape, 4000);
+}
+
+// The same property over files past the direct blocks: 220 more crash
+// points, now landing on journaled single- and double-indirect pointer
+// blocks and on the metadata the truncates free.
+TEST(CrashRecovery, PointerBlockCrashPointsShard0) {
+  RunCrashShard(kPointerShape, 6000);
+}
+TEST(CrashRecovery, PointerBlockCrashPointsShard1) {
+  RunCrashShard(kPointerShape, 7000);
+}
+TEST(CrashRecovery, PointerBlockCrashPointsShard2) {
+  RunCrashShard(kPointerShape, 8000);
+}
+TEST(CrashRecovery, PointerBlockCrashPointsShard3) {
+  RunCrashShard(kPointerShape, 9000);
+}
 
 // Control: with the journal disabled the same crashes corrupt the file
 // system and the harness notices — i.e. the property suite above is not
@@ -489,7 +615,17 @@ TEST(CrashRecovery, WithoutJournalHarnessDetectsCorruption) {
   int detected = 0;
   constexpr int kSeeds = 40;
   for (uint64_t seed = 5000; seed < 5000 + kSeeds; ++seed) {
-    detected += CrashWithoutJournalIsDetected(seed) ? 1 : 0;
+    detected += CrashWithoutJournalIsDetected(kDirectShape, seed) ? 1 : 0;
+  }
+  EXPECT_GE(detected, 1) << "no crash corrupted a journal-less fs in "
+                         << kSeeds << " seeds; the harness has no teeth";
+}
+
+TEST(CrashRecovery, PointerBlocksWithoutJournalHarnessDetectsCorruption) {
+  int detected = 0;
+  constexpr int kSeeds = 40;
+  for (uint64_t seed = 10000; seed < 10000 + kSeeds; ++seed) {
+    detected += CrashWithoutJournalIsDetected(kPointerShape, seed) ? 1 : 0;
   }
   EXPECT_GE(detected, 1) << "no crash corrupted a journal-less fs in "
                          << kSeeds << " seeds; the harness has no teeth";

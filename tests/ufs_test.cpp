@@ -1,14 +1,16 @@
 // Unit and property tests for the UFS substrate: format/mount, directories,
 // file data across direct/indirect/double-indirect ranges, truncation, hard
-// links, persistence, the fsck-style checker, and a randomized workload
-// checked against an in-memory reference model.
+// links, persistence, the metadata block cache, the fsck-style checker, and
+// a randomized workload checked against an in-memory reference model.
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <string>
+#include <utility>
 
 #include "src/blockdev/block_device.h"
+#include "src/blockdev/decorators.h"
 #include "src/support/rng.h"
 #include "src/ufs/checker.h"
 #include "src/ufs/ufs.h"
@@ -355,6 +357,298 @@ TEST_F(UfsTest, InodeCacheServesRepeatLookups) {
   EXPECT_EQ(after["inode_cache_misses"], before["inode_cache_misses"]);
   EXPECT_GE(after["inode_cache_hits"], before["inode_cache_hits"] + 10);
 }
+
+TEST_F(UfsTest, MetaCacheStatsCountHitsMissesAndBlocks) {
+  InodeNum ino = *fs_->Create(kRootInode, "f", FileType::kRegular);
+  Rng rng(7);
+  Buffer data = rng.RandomBuffer(40 * kBlockSize);
+  ASSERT_TRUE(fs_->Write(ino, 0, data.span()).ok());
+  fs_.reset();
+  fs_ = Ufs::Mount(device_.get(), clock_.get()).take_value();
+
+  // The mount's inode scan cached the one inode-table block in use.
+  std::map<std::string, uint64_t> mounted = metrics::CollectFrom(*fs_);
+  EXPECT_EQ(mounted["meta_cache_blocks"], 1u);
+  Buffer out(kBlockSize);
+  uint64_t reads = device_->stats().reads;
+  // The first block past the direct range misses on the indirect block...
+  ASSERT_TRUE(fs_->ReadFileBlock(ino, kNumDirect, out.mutable_span()).ok());
+  std::map<std::string, uint64_t> first = metrics::CollectFrom(*fs_);
+  EXPECT_EQ(first["meta_cache_misses"], mounted["meta_cache_misses"] + 1);
+  EXPECT_EQ(first["meta_cache_blocks"], 2u);
+  EXPECT_EQ(device_->stats().reads, reads + 2);
+  // ...and the next one hits it: one device read, for the data alone.
+  ASSERT_TRUE(
+      fs_->ReadFileBlock(ino, kNumDirect + 1, out.mutable_span()).ok());
+  std::map<std::string, uint64_t> second = metrics::CollectFrom(*fs_);
+  EXPECT_EQ(second["meta_cache_hits"], first["meta_cache_hits"] + 1);
+  EXPECT_EQ(second["meta_cache_misses"], first["meta_cache_misses"]);
+  EXPECT_EQ(device_->stats().reads, reads + 3);
+  // The inode counters still count inode lookups only.
+  EXPECT_EQ(second["inode_cache_hits"], mounted["inode_cache_hits"] + 2);
+  EXPECT_EQ(second["inode_cache_misses"], mounted["inode_cache_misses"]);
+
+  // Freeing the indirect block evicts it.
+  ASSERT_TRUE(fs_->Truncate(ino, 0).ok());
+  EXPECT_EQ(metrics::StatValue(*fs_, "meta_cache_blocks"), 1u);
+  ExpectClean();
+}
+
+TEST_F(UfsTest, CreateRollsBackWhenDirectoryCannotGrow) {
+  MemBlockDevice small(kBlockSize, 512);
+  std::unique_ptr<Ufs> fs = Ufs::Format(&small, clock_.get()).take_value();
+  // Fill the root's first directory block (the filler file is its last
+  // entry), then every free data block.
+  for (uint32_t i = 0; i + 1 < kDirEntriesPerBlock; ++i) {
+    ASSERT_TRUE(
+        fs->Create(kRootInode, "e" + std::to_string(i), FileType::kRegular)
+            .ok());
+  }
+  InodeNum fill = *fs->Create(kRootInode, "fill", FileType::kRegular);
+  Buffer block(kBlockSize);
+  for (uint64_t fb = 0; fs->FreeBlocks() > 0; ++fb) {
+    ASSERT_TRUE(fs->WriteFileBlock(fill, fb, block.span()).ok());
+  }
+
+  uint64_t free_inodes = fs->FreeInodes();
+  EXPECT_EQ(fs->Create(kRootInode, "straw", FileType::kRegular).status().code(),
+            ErrorCode::kNoSpace);
+  EXPECT_EQ(fs->FreeInodes(), free_inodes);
+  EXPECT_EQ(fs->Lookup(kRootInode, "straw").status().code(),
+            ErrorCode::kNotFound);
+  ASSERT_TRUE(fs->Sync().ok());
+  Result<CheckReport> report = Checker(&small).Check();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->clean()) << report->Summary();
+}
+
+// --- metadata block cache, journaled and journal-less ---
+
+// The on-disk copy of inode `ino` (valid after a Sync).
+Inode DiskInode(BlockDevice& device, const Superblock& sb, InodeNum ino) {
+  Buffer block(kBlockSize);
+  EXPECT_TRUE(device
+                  .ReadBlock(sb.itb_start + ino / kInodesPerBlock,
+                             block.mutable_span())
+                  .ok());
+  return *Inode::Decode(
+      block.subspan((ino % kInodesPerBlock) * kInodeSize, kInodeSize));
+}
+
+// The parameter is FormatOptions::journal. Device reads are counted with
+// BlockDevice::stats() deltas.
+class MetaCacheTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    device_ = std::make_unique<FaultyBlockDevice>(
+        std::make_unique<MemBlockDevice>(kBlockSize, 1024));
+    fs_ = Ufs::Format(device_.get(), &clock_,
+                      FormatOptions{.journal = GetParam()})
+              .take_value();
+    ASSERT_EQ(fs_->journaled(), GetParam());
+  }
+
+  uint64_t DeviceReads() const { return device_->stats().reads; }
+
+  // Unmounts (syncing), checks the image, and mounts it afresh.
+  void Remount() {
+    fs_.reset();
+    Result<CheckReport> report = Checker(device_.get()).Check();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report->clean()) << report->Summary();
+    Result<std::unique_ptr<Ufs>> mounted = Ufs::Mount(device_.get(), &clock_);
+    ASSERT_TRUE(mounted.ok()) << mounted.status().ToString();
+    fs_ = mounted.take_value();
+  }
+
+  void ExpectContent(InodeNum ino, const Buffer& want) {
+    ASSERT_EQ(fs_->GetAttrs(ino)->size, want.size());
+    Buffer got(want.size());
+    Result<size_t> n = fs_->Read(ino, 0, got.mutable_span());
+    ASSERT_TRUE(n.ok()) << n.status().ToString();
+    ASSERT_EQ(*n, want.size());
+    EXPECT_TRUE(got == want);
+  }
+
+  FakeClock clock_;
+  std::unique_ptr<FaultyBlockDevice> device_;
+  std::unique_ptr<Ufs> fs_;
+};
+
+TEST_P(MetaCacheTest, RereadCostsOneDeviceReadPerDataBlock) {
+  constexpr uint64_t kBlocks = 64;  // spans the single-indirect range
+  InodeNum ino = *fs_->Create(kRootInode, "f", FileType::kRegular);
+  Rng rng(8);
+  Buffer data = rng.RandomBuffer(kBlocks * kBlockSize);
+  ASSERT_TRUE(fs_->Write(ino, 0, data.span()).ok());
+  ASSERT_TRUE(fs_->Sync().ok());
+
+  Buffer out(kBlockSize);
+  for (int pass = 0; pass < 2; ++pass) {
+    uint64_t reads = DeviceReads();
+    for (uint64_t fb = 0; fb < kBlocks; ++fb) {
+      ASSERT_TRUE(fs_->ReadFileBlock(ino, fb, out.mutable_span()).ok());
+      ASSERT_TRUE(std::equal(out.data(), out.data() + kBlockSize,
+                             data.data() + fb * kBlockSize));
+    }
+    // The first pass may fetch the indirect block once; the second pays
+    // for the data alone.
+    EXPECT_LE(DeviceReads() - reads, kBlocks + 1) << "pass " << pass;
+    if (pass == 1) {
+      EXPECT_EQ(DeviceReads() - reads, kBlocks);
+    }
+  }
+}
+
+TEST_P(MetaCacheTest, SyncOfDirtyInodesReadsNothing) {
+  // Enough inodes to span two inode-table blocks.
+  std::vector<InodeNum> inos;
+  for (uint32_t i = 0; i < kInodesPerBlock + 4; ++i) {
+    inos.push_back(
+        *fs_->Create(kRootInode, "f" + std::to_string(i), FileType::kRegular));
+  }
+  Buffer block(kBlockSize);
+  for (InodeNum ino : inos) {
+    ASSERT_TRUE(fs_->WriteFileBlock(ino, 0, block.span()).ok());
+  }
+  ASSERT_TRUE(fs_->Sync().ok());
+
+  for (InodeNum ino : inos) {
+    ASSERT_TRUE(fs_->SetTimes(ino, 1, 2).ok());
+    ASSERT_TRUE(fs_->WriteFileBlock(ino, 0, block.span()).ok());
+  }
+  uint64_t reads = DeviceReads();
+  ASSERT_TRUE(fs_->Sync().ok());
+  EXPECT_EQ(DeviceReads(), reads);
+  Remount();
+  EXPECT_EQ(fs_->GetAttrs(inos.back())->mtime_ns, 2u);
+}
+
+TEST_P(MetaCacheTest, FreedPointerBlockReusedAsDataReadsBack) {
+  constexpr uint64_t kBlocks = 40;  // 12 direct + indirect block + 28 more
+  Rng rng(9);
+  InodeNum ino = *fs_->Create(kRootInode, "a", FileType::kRegular);
+  Buffer first = rng.RandomBuffer(kBlocks * kBlockSize);
+  ASSERT_TRUE(fs_->Write(ino, 0, first.span()).ok());
+  ASSERT_TRUE(fs_->Sync().ok());
+  ExpectContent(ino, first);  // caches the indirect block
+  BlockNum old_indirect = DiskInode(*device_, fs_->superblock(), ino).indirect;
+  ASSERT_NE(old_indirect, 0u);
+
+  // Fill the device past `a` so the allocator's rotor sits at the last few
+  // free blocks; regrowing `a` then takes those and wraps onto its own
+  // freed blocks, one position later than before — the old indirect block
+  // comes back as a data block.
+  InodeNum filler = *fs_->Create(kRootInode, "filler", FileType::kRegular);
+  Buffer block(kBlockSize);
+  for (uint64_t fb = 0; fs_->FreeBlocks() > 3; ++fb) {
+    ASSERT_TRUE(fs_->WriteFileBlock(filler, fb, block.span()).ok());
+  }
+  ASSERT_TRUE(fs_->Sync().ok());
+  ASSERT_TRUE(fs_->Truncate(ino, 0).ok());
+  ASSERT_TRUE(fs_->Sync().ok());
+  Buffer second = rng.RandomBuffer(kBlocks * kBlockSize);
+  ASSERT_TRUE(fs_->Write(ino, 0, second.span()).ok());
+  ExpectContent(ino, second);
+  ASSERT_TRUE(fs_->Sync().ok());
+  ExpectContent(ino, second);
+
+  Inode regrown = DiskInode(*device_, fs_->superblock(), ino);
+  ASSERT_NE(regrown.indirect, 0u);
+  ASSERT_NE(regrown.indirect, old_indirect);
+  Buffer pointers(kBlockSize);
+  ASSERT_TRUE(
+      device_->ReadBlock(regrown.indirect, pointers.mutable_span()).ok());
+  bool reused_as_data = false;
+  for (uint32_t i = 0; i < kPtrsPerBlock; ++i) {
+    reused_as_data |= GetU64(pointers.data() + 8 * i) == old_indirect;
+  }
+  for (uint64_t direct : regrown.direct) {
+    reused_as_data |= direct == old_indirect;
+  }
+  EXPECT_TRUE(reused_as_data) << "block " << old_indirect;
+
+  Remount();
+  ExpectContent(ino, second);
+}
+
+TEST_P(MetaCacheTest, FailedSyncRetryPersistsWhatTheCacheServed) {
+  InodeNum dir = *fs_->Create(kRootInode, "d", FileType::kDirectory);
+  Rng rng(10);
+  std::map<std::string, Buffer> model;
+  for (int i = 0; i < 4; ++i) {
+    std::string name = "f" + std::to_string(i);
+    model[name] = rng.RandomBuffer((20 + i) * kBlockSize + 100);
+    InodeNum ino = *fs_->Create(dir, name, FileType::kRegular);
+    ASSERT_TRUE(fs_->Write(ino, 0, model[name].span()).ok());
+  }
+  ASSERT_TRUE(fs_->Sync().ok());
+
+  // Change every kind of cached metadata: pointer blocks (writes past the
+  // direct range), directory blocks, inode-table blocks.
+  for (auto& [name, content] : model) {
+    InodeNum ino = *fs_->Lookup(dir, name);
+    Buffer patch = rng.RandomBuffer(3 * kBlockSize);
+    ASSERT_TRUE(fs_->Write(ino, content.size(), patch.span()).ok());
+    content.append(patch.span());
+    ExpectContent(ino, content);
+  }
+  ASSERT_TRUE(fs_->Remove(dir, "f0").ok());
+  model.erase("f0");
+  model["g"] = rng.RandomBuffer(15 * kBlockSize);
+  InodeNum g = *fs_->Create(dir, "g", FileType::kRegular);
+  ASSERT_TRUE(fs_->Write(g, 0, model["g"].span()).ok());
+
+  // Fail the Sync part-way through its writes, then retry it.
+  int writes = 0;
+  device_->set_predicate(
+      [&writes](int op, BlockNum) { return op == 1 && ++writes == 3; });
+  EXPECT_EQ(fs_->Sync().code(), ErrorCode::kIoError);
+  device_->set_predicate(nullptr);
+  for (const auto& [name, content] : model) {
+    ExpectContent(*fs_->Lookup(dir, name), content);
+  }
+  ASSERT_TRUE(fs_->Sync().ok());
+
+  Remount();
+  Result<std::vector<NamedEntry>> listing = fs_->ReadDir(dir);
+  ASSERT_TRUE(listing.ok());
+  EXPECT_EQ(listing->size(), model.size());
+  for (const auto& [name, content] : model) {
+    Result<InodeNum> ino = fs_->Lookup(dir, name);
+    ASSERT_TRUE(ino.ok()) << name;
+    ExpectContent(*ino, content);
+  }
+}
+
+TEST_P(MetaCacheTest, FailedWriteIsNotServedFromTheCache) {
+  // Cache the root's directory block.
+  ASSERT_TRUE(fs_->Create(kRootInode, "a", FileType::kRegular).ok());
+  ASSERT_TRUE(fs_->Sync().ok());
+  ASSERT_TRUE(fs_->ReadDir(kRootInode).ok());
+
+  // Journal-less, the new entry's directory-block write reaches the device
+  // and fails, so Create fails; journaled, it only joins the open
+  // transaction.
+  bool failed_once = false;
+  device_->set_predicate([&failed_once](int op, BlockNum) {
+    return op == 1 && !std::exchange(failed_once, true);
+  });
+  Result<InodeNum> created =
+      fs_->Create(kRootInode, "b", FileType::kRegular);
+  device_->set_predicate(nullptr);
+  EXPECT_EQ(created.ok(), GetParam());
+  Result<std::vector<NamedEntry>> listing = fs_->ReadDir(kRootInode);
+  ASSERT_TRUE(listing.ok()) << listing.status().ToString();
+  EXPECT_EQ(listing->size(), GetParam() ? 2u : 1u);
+  Remount();
+  EXPECT_EQ(fs_->Lookup(kRootInode, "b").ok(), GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(JournalOnOff, MetaCacheTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& param) {
+                           return param.param ? "Journaled" : "JournalLess";
+                         });
 
 // --- checker corruption detection ---
 
