@@ -20,6 +20,7 @@
 #include "src/layers/compfs/comp_layer.h"
 #include "src/layers/mirrorfs/mirror_layer.h"
 #include "src/layers/sfs/sfs.h"
+#include "src/support/logging.h"
 #include "src/support/rng.h"
 
 using namespace springfs;
@@ -85,7 +86,7 @@ int main() {
   // Mirror failover: fs1's device dies; reads fail over to fs2.
   sp<File> ha = fs4->CreateFile(*Name::Parse("ha"), creds).take_value();
   ha->Write(0, page.span()).take_value();
-  fs4->SyncFs();
+  SPRINGFS_CHECK_OK(fs4->SyncFs());
   Measurement healthy =
       TimeOp([&] { (void)*ha->Read(0, out.mutable_span()); }, 2000);
   disks[0]->set_broken(true);

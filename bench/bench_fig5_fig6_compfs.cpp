@@ -15,6 +15,7 @@
 #include "bench/bench_util.h"
 #include "src/layers/compfs/comp_layer.h"
 #include "src/layers/sfs/sfs.h"
+#include "src/support/logging.h"
 #include "src/vmm/vmm.h"
 #include "src/support/rng.h"
 
@@ -74,7 +75,7 @@ int main() {
     Setup s = MakeSetup(/*coherent=*/true);
     sp<File> file = s.compfs->CreateFile(*Name::Parse("f"), creds).take_value();
     file->Write(0, c.data.span()).take_value();
-    file->SyncFile();
+    SPRINGFS_CHECK_OK(file->SyncFile());
     uint64_t stored =
         ResolveAs<File>(s.sfs.root, "f", creds).take_value()->Stat()->size;
     std::printf("%-22s %12zu %12llu %7.1f%%\n", c.name, c.data.size(),
@@ -127,12 +128,12 @@ int main() {
     sp<File> file = s.compfs->CreateFile(*Name::Parse("c"), creds).take_value();
     Buffer data = rng.CompressibleBuffer(kPageSize);
     file->Write(0, data.span()).take_value();
-    file->SyncFile();
+    SPRINGFS_CHECK_OK(file->SyncFile());
     sp<Vmm> vmm = Vmm::Create(Domain::Create("n"), "vmm");
     sp<MappedRegion> region =
         vmm->Map(file, AccessRights::kReadOnly).take_value();
     Buffer probe(64);
-    region->Read(0, probe.mutable_span());
+    SPRINGFS_CHECK_OK(region->Read(0, probe.mutable_span()));
     sp<File> under = ResolveAs<File>(s.sfs.root, "c", creds).take_value();
     Buffer junk(std::string("direct underlying write"));
     under->Write(0, junk.span()).take_value();

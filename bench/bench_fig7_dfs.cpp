@@ -17,6 +17,7 @@
 #include "src/layers/dfs/dfs_client.h"
 #include "src/layers/dfs/dfs_server.h"
 #include "src/layers/sfs/sfs.h"
+#include "src/support/logging.h"
 #include "src/vmm/vmm.h"
 #include "src/support/rng.h"
 
@@ -42,7 +43,7 @@ int main() {
       DfsClient::Mount(client_node, &network, "server", "dfs").take_value();
 
   sp<File> file = server->CreateFile(*Name::Parse("f"), creds).take_value();
-  file->SetLength(4 * kPageSize);
+  SPRINGFS_CHECK_OK(file->SetLength(4 * kPageSize));
   Rng rng(1);
   Buffer page = rng.RandomBuffer(kPageSize);
   file->Write(0, page.span()).take_value();
@@ -56,11 +57,12 @@ int main() {
   sp<MappedRegion> local_map =
       local_vmm->Map(file, AccessRights::kReadWrite).take_value();
   Buffer out(kPageSize);
-  local_map->Read(0, out.mutable_span());  // fault once
+  SPRINGFS_CHECK_OK(local_map->Read(0, out.mutable_span()));  // fault once
   network.ResetStats();
   server->ResetStats();
   Measurement local_read = TimeOp(
-      [&] { local_map->Read(0, out.mutable_span()); }, 10000);
+      [&] { SPRINGFS_CHECK_OK(local_map->Read(0, out.mutable_span())); },
+      10000);
   std::printf("local mapped 4KB read : %8.2f us/op, %llu network msgs, "
               "%llu DFS page-ins\n",
               local_read.mean_us,
@@ -74,7 +76,8 @@ int main() {
   sp<MappedRegion> direct_map =
       local_vmm->Map(direct, AccessRights::kReadOnly).take_value();
   Measurement direct_read = TimeOp(
-      [&] { direct_map->Read(0, out.mutable_span()); }, 10000);
+      [&] { SPRINGFS_CHECK_OK(direct_map->Read(0, out.mutable_span())); },
+      10000);
   std::printf("direct SFS 4KB read   : %8.2f us/op (same channel: %s)\n",
               direct_read.mean_us,
               local_map->channel_id() == direct_map->channel_id() ? "yes"
@@ -94,9 +97,11 @@ int main() {
   sp<Vmm> remote_vmm = Vmm::Create(client_node->domain(), "remote-vmm");
   sp<MappedRegion> remote_map =
       remote_vmm->Map(remote, AccessRights::kReadOnly).take_value();
-  remote_map->Read(0, out.mutable_span());  // fault across the network once
+  // Fault across the network once.
+  SPRINGFS_CHECK_OK(remote_map->Read(0, out.mutable_span()));
   Measurement remote_mapped = TimeOp(
-      [&] { remote_map->Read(0, out.mutable_span()); }, 10000);
+      [&] { SPRINGFS_CHECK_OK(remote_map->Read(0, out.mutable_span())); },
+      10000);
   std::printf("remote mapped re-read : %8.2f us/op (served by client VMM)\n",
               remote_mapped.mean_us);
 
@@ -105,8 +110,9 @@ int main() {
   server->ResetStats();
   Measurement pingpong = TimeOp(
       [&] {
-        (void)*direct->Write(0, page.span());       // local write
-        remote_map->Read(0, out.mutable_span());    // remote re-read
+        (void)*direct->Write(0, page.span());  // local write
+        // Remote re-read.
+        SPRINGFS_CHECK_OK(remote_map->Read(0, out.mutable_span()));
       },
       100);
   std::map<std::string, uint64_t> stats = metrics::CollectFrom(*server);

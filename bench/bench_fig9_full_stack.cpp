@@ -18,6 +18,7 @@
 #include "src/layers/dfs/dfs_client.h"
 #include "src/layers/dfs/dfs_server.h"
 #include "src/layers/sfs/sfs.h"
+#include "src/support/logging.h"
 #include "src/vmm/vmm.h"
 #include "src/support/rng.h"
 
@@ -51,7 +52,7 @@ int main() {
   Buffer content = rng.CompressibleBuffer(8 * kPageSize);
   sp<File> remote = client->CreateFile(*Name::Parse("f"), creds).take_value();
   remote->Write(0, content.span()).take_value();
-  remote->SyncFile();
+  SPRINGFS_CHECK_OK(remote->SyncFile());
 
   Buffer out(kPageSize);
   bench::PrintRule(72);
@@ -66,9 +67,9 @@ int main() {
   sp<Vmm> client_vmm = Vmm::Create(client_node->domain(), "client-vmm");
   sp<MappedRegion> region =
       client_vmm->Map(remote, AccessRights::kReadOnly).take_value();
-  region->Read(0, out.mutable_span());
-  Measurement mapped = TimeOp([&] { region->Read(0, out.mutable_span()); },
-                              10000);
+  SPRINGFS_CHECK_OK(region->Read(0, out.mutable_span()));
+  Measurement mapped = TimeOp(
+      [&] { SPRINGFS_CHECK_OK(region->Read(0, out.mutable_span())); }, 10000);
   std::printf("remote mapped re-read            : %9.2f us/op\n",
               mapped.mean_us);
 
@@ -96,7 +97,7 @@ int main() {
   for (int round = 0; round < 20; ++round) {
     std::string text = "round-" + std::to_string(round);
     Buffer data(text);
-    writer->Write(0, data.span());
+    SPRINGFS_CHECK_OK(writer->Write(0, data.span()));
     Buffer check(text.size());
     local->Read(0, check.mutable_span()).take_value();
     if (check.ToString() != text) {

@@ -12,6 +12,7 @@
 #include "src/fs/registry.h"
 #include "src/layers/compfs/comp_layer.h"
 #include "src/layers/sfs/sfs.h"
+#include "src/support/logging.h"
 #include "src/support/rng.h"
 #include "src/vmm/vmm.h"
 
@@ -23,23 +24,23 @@ int main() {
 
   // The system name space with the well-known /fs_creators and /fs places.
   sp<MemContext> root = MemContext::Create(admin_domain);
-  EnsureWellKnownContexts(root, creds, admin_domain);
+  SPRINGFS_CHECK_OK(EnsureWellKnownContexts(root, creds, admin_domain));
 
   // A base file system, exported at /fs/sfs0 (like mounting a partition).
   MemBlockDevice device(ufs::kBlockSize, 16384);
   Sfs sfs = CreateSfs(&device, SfsOptions{}).take_value();
-  ExportFs(root, "sfs0", sfs.root, creds);
+  SPRINGFS_CHECK_OK(ExportFs(root, "sfs0", sfs.root, creds));
 
   // Register the COMPFS creator at /fs_creators/compfs_creator.
   sp<Domain> compfs_domain = Domain::Create("compfs");
-  RegisterCreator(root,
-                  std::make_shared<LambdaFsCreator>(
-                      "compfs_creator",
-                      [&]() -> Result<sp<StackableFs>> {
-                        return sp<StackableFs>(
-                            CompLayer::Create(compfs_domain));
-                      }),
-                  creds);
+  SPRINGFS_CHECK_OK(RegisterCreator(
+      root,
+      std::make_shared<LambdaFsCreator>(
+          "compfs_creator",
+          [&]() -> Result<sp<StackableFs>> {
+            return sp<StackableFs>(CompLayer::Create(compfs_domain));
+          }),
+      creds));
 
   // Section 4.4's recipe, driven declaratively: look the creator up,
   // create, stack_on, bind into the name space.
@@ -57,7 +58,7 @@ int main() {
   Rng rng(2026);
   Buffer data = rng.CompressibleBuffer(64 * kPageSize);
   file->Write(0, data.span()).take_value();
-  file->SyncFile();
+  SPRINGFS_CHECK_OK(file->SyncFile());
 
   // Compare logical size vs. what the underlying SFS actually stores.
   sp<File> under = ResolveAs<File>(sfs.root, "corpus", creds).take_value();
@@ -85,7 +86,7 @@ int main() {
   sp<MappedRegion> region =
       vmm->Map(file, AccessRights::kReadOnly).take_value();
   Buffer probe(16);
-  region->Read(0, probe.mutable_span());
+  SPRINGFS_CHECK_OK(region->Read(0, probe.mutable_span()));
   Buffer junk(std::string("direct write to the compressed image"));
   under->Write(0, junk.span()).take_value();
   std::printf("figure 6     : %llu -> %llu lower-layer invalidations after a "

@@ -13,6 +13,7 @@
 #include "src/layers/dfs/dfs_client.h"
 #include "src/layers/dfs/dfs_server.h"
 #include "src/layers/sfs/sfs.h"
+#include "src/support/logging.h"
 #include "src/vmm/vmm.h"
 
 using namespace springfs;
@@ -46,11 +47,11 @@ int main() {
   // Alice creates a shared file and maps it.
   sp<File> alice_file =
       alice->CreateFile(*Name::Parse("shared.txt"), creds).take_value();
-  alice_file->SetLength(kPageSize);
+  SPRINGFS_CHECK_OK(alice_file->SetLength(kPageSize));
   sp<MappedRegion> alice_map =
       alice_vmm->Map(alice_file, AccessRights::kReadWrite).take_value();
   Buffer hello(std::string("hello from alice"));
-  alice_map->Write(0, hello.span());
+  SPRINGFS_CHECK_OK(alice_map->Write(0, hello.span()));
   std::printf("alice wrote through her mapping\n");
 
   // Bob maps the same file on another node and reads Alice's write —
@@ -60,14 +61,14 @@ int main() {
   sp<MappedRegion> bob_map =
       bob_vmm->Map(bob_file, AccessRights::kReadWrite).take_value();
   Buffer seen(16);
-  bob_map->Read(0, seen.mutable_span());
+  SPRINGFS_CHECK_OK(bob_map->Read(0, seen.mutable_span()));
   std::printf("bob reads     : '%s'\n", seen.ToString().c_str());
 
   // A local process on the server writes through SFS; both remotes see it.
   sp<File> local = ResolveAs<File>(sfs.root, "shared.txt", creds).take_value();
   Buffer local_text(std::string("server-side edit"));
   local->Write(0, local_text.span()).take_value();
-  alice_map->Read(0, seen.mutable_span());
+  SPRINGFS_CHECK_OK(alice_map->Read(0, seen.mutable_span()));
   std::printf("alice now sees: '%s'\n", seen.ToString().c_str());
 
   std::map<std::string, uint64_t> sstats = metrics::CollectFrom(*server);

@@ -14,6 +14,7 @@
 #include "src/layers/mirrorfs/mirror_layer.h"
 #include "src/layers/sfs/sfs.h"
 #include "src/posix/posix_shim.h"
+#include "src/support/logging.h"
 
 using namespace springfs;
 
@@ -33,11 +34,11 @@ int main() {
 
   // MIRRORFS on both, CRYPTFS on the mirror.
   sp<MirrorLayer> mirror = MirrorLayer::Create(Domain::Create("mirror"));
-  mirror->StackOn(replicas[0].root);
-  mirror->StackOn(replicas[1].root);
+  SPRINGFS_CHECK_OK(mirror->StackOn(replicas[0].root));
+  SPRINGFS_CHECK_OK(mirror->StackOn(replicas[1].root));
   sp<CryptLayer> crypt =
       CryptLayer::Create(Domain::Create("crypt"), "correct horse battery");
-  crypt->StackOn(mirror);
+  SPRINGFS_CHECK_OK(crypt->StackOn(mirror));
   std::printf("stack: %s\n", crypt->GetFsInfo()->type.c_str());
 
   // Drive it with the POSIX shim.
@@ -45,7 +46,7 @@ int main() {
   int fd = proc.Open("secrets.db", posix::kRdWr | posix::kCreate).take_value();
   Buffer secret(std::string("the launch code is 0000"));
   proc.Write(fd, secret.span()).take_value();
-  proc.Fsync(fd);
+  SPRINGFS_CHECK_OK(proc.Fsync(fd));
 
   // Ciphertext on both replicas, plaintext nowhere below the crypt layer.
   for (int i = 0; i < 2; ++i) {
@@ -67,13 +68,13 @@ int main() {
   Buffer update(std::string("the launch code is 8675"));
   proc.Lseek(fd, 0, posix::Whence::kSet).take_value();
   proc.Write(fd, update.span()).take_value();
-  proc.Fsync(fd);
+  SPRINGFS_CHECK_OK(proc.Fsync(fd));
 
   // The disk comes back holding stale data; resilver repairs it.
   disks[0]->set_broken(false);
   std::printf("-- replica 0's disk repaired; resilvering --\n");
-  mirror->Resilver(*Name::Parse("secrets.db"), creds);
-  mirror->SyncFs();
+  SPRINGFS_CHECK_OK(mirror->Resilver(*Name::Parse("secrets.db"), creds));
+  SPRINGFS_CHECK_OK(mirror->SyncFs());
 
   std::map<std::string, uint64_t> stats = metrics::CollectFrom(*mirror);
   std::printf("mirror: %llu fanouts, %llu replica write failures, "

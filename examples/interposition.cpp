@@ -9,6 +9,7 @@
 
 #include "src/layers/sfs/sfs.h"
 #include "src/naming/views.h"
+#include "src/support/logging.h"
 
 using namespace springfs;
 
@@ -64,7 +65,7 @@ int main() {
   MemBlockDevice device(ufs::kBlockSize, 8192);
   Sfs sfs = CreateSfs(&device, SfsOptions{}).take_value();
   sp<MemContext> root = MemContext::Create(domain);
-  root->Bind(Name::Single("vol"), sfs.root, creds);
+  SPRINGFS_CHECK_OK(root->Bind(Name::Single("vol"), sfs.root, creds));
 
   // Populate /vol with two files.
   sp<StackableFs> vol = ResolveAs<StackableFs>(root, "vol", creds).take_value();

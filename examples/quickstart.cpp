@@ -9,6 +9,7 @@
 #include <string>
 
 #include "src/layers/sfs/sfs.h"
+#include "src/support/logging.h"
 #include "src/vmm/vmm.h"
 
 using namespace springfs;
@@ -49,11 +50,11 @@ int main() {
   sp<MappedRegion> region =
       vmm->Map(file, AccessRights::kReadWrite).take_value();
   Buffer mapped(text.size());
-  region->Read(0, mapped.mutable_span());
+  SPRINGFS_CHECK_OK(region->Read(0, mapped.mutable_span()));
   std::printf("mapped read : %s", mapped.ToString().c_str());
 
   Buffer patch(std::string("EXTENSIBLE"));
-  region->Write(0, patch.span());
+  SPRINGFS_CHECK_OK(region->Write(0, patch.span()));
   Buffer through_file(text.size());
   file->Read(0, through_file.mutable_span()).take_value();
   std::printf("after mapped write, file read: %s",
@@ -66,7 +67,7 @@ int main() {
               static_cast<unsigned long long>(stats["deny_writes"]));
 
   // 4. Push everything to the simulated disk and show it survived.
-  sfs.root->SyncFs();
+  SPRINGFS_CHECK_OK(sfs.root->SyncFs());
   FileAttributes attrs = *file->Stat();
   std::printf("docs/readme: %llu bytes, nlink %u\n",
               static_cast<unsigned long long>(attrs.size), attrs.nlink);

@@ -45,6 +45,7 @@
 #include "src/obs/flight_recorder.h"
 #include "src/obs/stat_report.h"
 #include "src/obs/trace.h"
+#include "src/support/logging.h"
 #include "src/vmm/vmm.h"
 
 using namespace springfs;
@@ -323,8 +324,8 @@ int main(int argc, char** argv) {
   sp<MappedRegion> region =
       vmm->Map(file, AccessRights::kReadWrite).take_value();
   Buffer word(8);
-  region->Read(0, word.mutable_span());
-  region->Write(0, word.span());
+  SPRINGFS_CHECK_OK(region->Read(0, word.mutable_span()));
+  SPRINGFS_CHECK_OK(region->Write(0, word.span()));
 
   // Remote workload: export the stack over DFS and read it from a second
   // node, so the network and DFS layers show up in the report too.

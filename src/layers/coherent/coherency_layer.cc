@@ -775,16 +775,18 @@ Result<Buffer> CoherencyLayer::ClientPageIn(FileState& state, uint64_t channel,
   std::lock_guard<std::mutex> lock(state.mutex);
   Offset begin = PageFloor(offset);
   Offset end = PageCeil(offset + std::max<Offset>(size, 1));
-  // Read-ahead: extend the granted range past what was asked (the bind
-  // contract lets a pager return more data than requested). Only whole
-  // pages inside the file are prefetched, and only in caching mode.
-  if (options_.read_ahead_pages > 0 && options_.cache_data &&
-      access == AccessRights::kReadOnly) {
-    if (EnsureAttrs(state).ok()) {
-      Offset eof = PageCeil(state.attrs.size);
-      Offset extended = end + Offset{options_.read_ahead_pages} * kPageSize;
-      end = std::max(end, std::min(extended, eof));
-    }
+  // A read-only page-in is widened twice: by the client's fault cluster
+  // (the request spans several pages) and by our read-ahead (the bind
+  // contract lets a pager return more data than requested). In caching
+  // mode both stop at the file length, so no page past EOF is paged in
+  // from below. The demanded page is always served; the client accepts the
+  // short reply.
+  if (options_.cache_data && access == AccessRights::kReadOnly &&
+      (end - begin > kPageSize || options_.read_ahead_pages > 0) &&
+      EnsureAttrs(state).ok()) {
+    Offset eof = PageCeil(state.attrs.size);
+    Offset extended = end + Offset{options_.read_ahead_pages} * kPageSize;
+    end = std::max(begin + kPageSize, std::min(extended, eof));
   }
   ASSIGN_OR_RETURN(std::vector<BlockData> recovered,
                    state.engine.Acquire(channel, Range::FromTo(begin, end),

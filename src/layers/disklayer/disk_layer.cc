@@ -157,7 +157,7 @@ class DiskFile : public File, public Servant {
   }
 
   Status SyncFile() override {
-    return InDomain([&] { return layer_->ufs_->Sync(); });
+    return InDomain([&] { return layer_->ufs_->Commit(); });
   }
 
  private:

@@ -36,7 +36,7 @@ class FusedFile : public File, public Servant {
     return ErrNotSupported("utimes on the fused baseline");
   }
   Status SyncFile() override {
-    return InDomain([&] { return layer_->fs_->Sync(); });
+    return InDomain([&] { return layer_->fs_->Commit(); });
   }
 
  private:

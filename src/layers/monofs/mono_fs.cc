@@ -231,11 +231,7 @@ Result<FileAttributes> MonoFs::Stat(MonoFd fd) {
   return out;
 }
 
-Status MonoFs::Sync() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!ufs_) {
-    return Status::Ok();
-  }
+Status MonoFs::WriteBackLocked() {
   for (auto& [key, page] : buffer_cache_) {
     if (!page.dirty) {
       continue;
@@ -247,6 +243,24 @@ Status MonoFs::Sync() {
   for (const auto& [ino, size] : size_cache_) {
     RETURN_IF_ERROR(ufs_->SetSize(ino, size));
   }
+  return Status::Ok();
+}
+
+Status MonoFs::Commit() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!ufs_) {
+    return Status::Ok();
+  }
+  RETURN_IF_ERROR(WriteBackLocked());
+  return ufs_->Commit();
+}
+
+Status MonoFs::Sync() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!ufs_) {
+    return Status::Ok();
+  }
+  RETURN_IF_ERROR(WriteBackLocked());
   return ufs_->Sync();
 }
 

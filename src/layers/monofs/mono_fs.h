@@ -62,13 +62,19 @@ class MonoFs {
 
   Result<FileAttributes> Stat(MonoFd fd);
 
-  // Writes dirty buffers and metadata back.
+  // Writes dirty buffers and metadata back and commits them (fsync): the
+  // data is durable, home locations are written at a later checkpoint.
+  Status Commit();
+  // Commit, then checkpoint: everything is at its home location.
   Status Sync();
 
   MonoFsStats stats() const;
 
  private:
   MonoFs(BlockDevice* device, Clock* clock);
+
+  // Hands dirty buffers and cached sizes to the UFS (mutex_ held).
+  Status WriteBackLocked();
 
   Result<ufs::InodeNum> ResolvePath(const std::string& path, bool want_parent,
                                     std::string* leaf);

@@ -10,6 +10,8 @@
 #include <sstream>
 #include <string>
 
+#include "src/support/result.h"
+
 namespace springfs {
 
 enum class LogLevel : int { kTrace = 0, kDebug, kInfo, kWarn, kError, kOff };
@@ -56,6 +58,21 @@ class LogMessage {
                    __LINE__, #cond);                                    \
       std::abort();                                                     \
     }                                                                   \
+  } while (0)
+
+// SPRINGFS_CHECK for an expression yielding a Status: aborts with the
+// status text unless it is OK. For programs (benches, examples) whose every
+// operation must succeed, so that a failed op never silently produces a
+// number.
+#define SPRINGFS_CHECK_OK(expr)                                           \
+  do {                                                                    \
+    ::springfs::Status springfs_check_ok_status_ = (expr);                \
+    if (!springfs_check_ok_status_.ok()) {                                \
+      std::fprintf(stderr, "CHECK_OK failed at %s:%d: %s: %s\n", __FILE__, \
+                   __LINE__, #expr,                                       \
+                   springfs_check_ok_status_.ToString().c_str());         \
+      std::abort();                                                       \
+    }                                                                     \
   } while (0)
 
 }  // namespace springfs

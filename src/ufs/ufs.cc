@@ -125,6 +125,9 @@ Result<std::unique_ptr<Ufs>> Ufs::Format(BlockDevice* device, Clock* clock,
   }
   ASSIGN_OR_RETURN(Geometry geo,
                    Geometry::Compute(device->num_blocks(), 0, jnl_blocks));
+  if (geo.jnl_blocks == 1) {
+    return ErrInvalidArgument("a journal needs a head and a log block");
+  }
 
   std::unique_ptr<Ufs> fs(new Ufs(device, clock));
   fs->sb_.num_blocks = geo.num_blocks;
@@ -193,14 +196,15 @@ Result<std::unique_ptr<Ufs>> Ufs::Mount(BlockDevice* device, Clock* clock) {
   Buffer block(kBlockSize);
   RETURN_IF_ERROR(device->ReadBlock(0, block.mutable_span()));
   Result<Superblock> decoded = Superblock::Decode(block.span());
+  ReplayReport replayed;
   if (!decoded.ok() || decoded->jnl_blocks > 0) {
     // Journaled image — or an unreadable superblock, which a journal
-    // replay may repair (the superblock's own in-place update is
-    // journaled, so a crash can tear it). Redo the last committed
-    // transaction before trusting anything on the device.
-    ASSIGN_OR_RETURN(ReplayReport replayed, Journal::Replay(device));
+    // replay may repair (the superblock's home copy is written lazily and
+    // a crash can tear it). Redo every committed transaction still in the
+    // log before trusting anything on the device.
+    ASSIGN_OR_RETURN(replayed, Journal::Replay(device));
     if (replayed.blocks_replayed > 0) {
-      LOG_INFO << "journal replay: tx " << replayed.tx_id << " ("
+      LOG_INFO << "journal replay: through tx " << replayed.tx_id << " ("
                << replayed.blocks_replayed << " blocks)";
     }
     RETURN_IF_ERROR(device->ReadBlock(0, block.mutable_span()));
@@ -216,6 +220,9 @@ Result<std::unique_ptr<Ufs>> Ufs::Mount(BlockDevice* device, Clock* clock) {
   if (sb.jnl_blocks > 0 && sb.data_start + 1 > sb.jnl_start()) {
     return ErrCorrupted("journal overlaps file-system metadata");
   }
+  if (sb.jnl_blocks == 1) {
+    return ErrCorrupted("journal too small for a head and a log block");
+  }
 
   std::unique_ptr<Ufs> fs(new Ufs(device, clock));
   fs->sb_ = sb;
@@ -223,13 +230,15 @@ Result<std::unique_ptr<Ufs>> Ufs::Mount(BlockDevice* device, Clock* clock) {
   fs->data_bitmap_ = Bitmap(sb.num_blocks, sb.dbm_start);
   RETURN_IF_ERROR(fs->inode_bitmap_.Load(*device));
   RETURN_IF_ERROR(fs->data_bitmap_.Load(*device));
+  fs->last_committed_tx_ = replayed.tx_id != 0 ? replayed.tx_id : sb.last_tx;
   if (sb.jnl_blocks > 0) {
     fs->journaled_ = true;
     fs->journal_ = std::make_unique<Journal>(device, sb.jnl_start());
+    // Replay wrote every live record home, so the log starts out empty.
+    RETURN_IF_ERROR(fs->journal_->Open(fs->last_committed_tx_ + 1));
     ByteSpan raw = fs->data_bitmap_.raw_bits();
     fs->committed_bits_.assign(raw.begin(), raw.end());
   }
-  fs->last_committed_tx_ = sb.last_tx;
 
   // Find the largest generation in use so new inodes stay unique. A linear
   // scan of allocated inodes at mount time stands in for a mount log.
@@ -345,6 +354,8 @@ Status Ufs::ReadDeviceBlock(BlockNum block, MutableByteSpan out) {
       std::memcpy(out.data(), it->second.data(), kBlockSize);
       return Status::Ok();
     }
+    // The latest committed version may still live only in the log.
+    return device_->ReadBlock(journal_->LiveSlot(block), out);
   }
   return device_->ReadBlock(block, out);
 }
@@ -361,7 +372,7 @@ Status Ufs::ReadMetaBlock(BlockNum block, MutableByteSpan out) {
     return Status::Ok();
   }
   ++meta_cache_misses_;
-  RETURN_IF_ERROR(device_->ReadBlock(block, out));
+  RETURN_IF_ERROR(ReadDeviceBlock(block, out));
   meta_cache_.emplace(block, Buffer(out.data(), kBlockSize));
   return Status::Ok();
 }
@@ -964,8 +975,18 @@ Status Ufs::SetSize(InodeNum ino, uint64_t size) {
 
 // --- sync ---
 
+Status Ufs::Commit() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return CommitLocked();
+}
+
 Status Ufs::Sync() {
   std::lock_guard<std::mutex> lock(mutex_);
+  RETURN_IF_ERROR(CommitLocked());
+  return journaled_ ? journal_->Checkpoint() : Status::Ok();
+}
+
+Status Ufs::CommitLocked() {
   Buffer block(kBlockSize);
   // Dirty inodes, grouped by inode-table block.
   for (auto& [ino, cached] : inode_cache_) {
@@ -985,7 +1006,7 @@ Status Ufs::Sync() {
   RETURN_IF_ERROR(inode_bitmap_.FlushDirty(writer));
   RETURN_IF_ERROR(data_bitmap_.FlushDirty(writer));
   if (journaled_) {
-    return SyncJournaled();
+    return CommitJournaled();
   }
   sb_.clean = 1;
   sb_.Encode(block.mutable_span());
@@ -993,38 +1014,43 @@ Status Ufs::Sync() {
   return device_->Flush();
 }
 
-Status Ufs::SyncJournaled() {
+Status Ufs::CommitJournaled() {
   if (pending_.empty()) {
-    // Nothing changed since the last commit; the on-disk superblock is
-    // already current.
+    // Nothing changed since the last commit; the log is already current.
     return device_->Flush();
   }
   // Partition the open transaction. Blocks that durable metadata may
   // already reference — the whole metadata area plus data blocks that were
-  // allocated at the last commit — must go through the journal, or a crash
-  // mid-checkpoint would tear durable state. Blocks that were free at the
-  // last commit are invisible until this commit lands, so they are written
-  // in place first ("ordered" mode) without journal traffic.
+  // allocated at the last commit — go through the log, or a crash would
+  // tear durable state. So does any block that still has a live log record
+  // (the revoke rule): replaying that older record would clobber an
+  // in-place write. The remaining blocks were free at the last commit and
+  // are invisible until this commit lands, so they are written in place
+  // first ("ordered" mode) without log traffic.
   std::map<BlockNum, Buffer> journaled;
   std::vector<std::pair<BlockNum, const Buffer*>> ordered;
-  for (const auto& [b, buf] : pending_) {
-    if (b < sb_.data_start || CommittedBitSet(b)) {
-      journaled.emplace(b, Buffer(buf.span()));
-    } else {
-      ordered.emplace_back(b, &buf);
+  auto partition = [&] {
+    journaled.clear();
+    ordered.clear();
+    for (const auto& [b, buf] : pending_) {
+      if (b < sb_.data_start || CommittedBitSet(b) || journal_->IsLive(b)) {
+        journaled.emplace(b, Buffer(buf.span()));
+      } else {
+        ordered.emplace_back(b, &buf);
+      }
     }
-  }
-  uint64_t records = journaled.size() + (journaled.count(0) ? 0 : 1);
+    return journaled.size() + (journaled.count(0) ? 0 : 1);
+  };
+  uint64_t records = partition();
   Buffer sb_block(kBlockSize);
   if (!journal_->Fits(records)) {
-    // Transaction larger than the journal: fall back to unprotected
+    // Transaction larger than the whole log: fall back to unprotected
     // in-place writes — for this sync the guarantees degrade to those of a
-    // journal-less file system. The stale commit record must go first:
-    // replaying it over these newer writes would roll blocks back.
+    // journal-less file system. The checkpoint goes first: it writes the
+    // live records home and retires them, so replay can never roll these
+    // newer writes back.
     ++journal_overflow_syncs_;
-    Buffer zero(kBlockSize);
-    RETURN_IF_ERROR(device_->WriteBlock(sb_.num_blocks - 1, zero.span()));
-    RETURN_IF_ERROR(device_->Flush());
+    RETURN_IF_ERROR(journal_->Checkpoint());
     sb_.clean = 1;
     sb_.Encode(sb_block.mutable_span());
     RETURN_IF_ERROR(device_->WriteBlock(0, sb_block.span()));
@@ -1038,6 +1064,12 @@ Status Ufs::SyncJournaled() {
     FinishJournalEpoch();
     return Status::Ok();
   }
+  if (!journal_->HasRoom(records)) {
+    // Log full: write the homes and reuse the log from its start. Nothing
+    // is live afterwards, so some blocks may now go in place.
+    RETURN_IF_ERROR(journal_->Checkpoint());
+    records = partition();
+  }
 
   uint64_t tx = last_committed_tx_ + 1;
   sb_.clean = 1;
@@ -1046,24 +1078,19 @@ Status Ufs::SyncJournaled() {
   journaled.insert_or_assign(0, std::move(sb_block));
 
   // Phase 1: ordered writes. These blocks are unreferenced until the
-  // commit record lands, so a crash in this window is invisible.
+  // commit lands, so a crash in this window is invisible.
   if (!ordered.empty()) {
     for (const auto& [b, buf] : ordered) {
       RETURN_IF_ERROR(device_->WriteBlock(b, buf->span()));
     }
     RETURN_IF_ERROR(device_->Flush());
   }
-  // Phase 2: journal payloads, descriptor table, commit record (flushed).
-  // After this returns the transaction is durable.
-  RETURN_IF_ERROR(journal_->Commit(tx, journaled));
+  // Phase 2: header, descriptors and payloads to the log (flushed). After
+  // this returns the transaction is durable; home locations are written at
+  // the next checkpoint.
+  RETURN_IF_ERROR(journal_->Commit(tx, std::move(journaled)));
   last_committed_tx_ = tx;
   ++journal_commits_;
-  // Phase 3: checkpoint to home locations. A crash in this window is
-  // repaired by replay on the next mount.
-  for (const auto& [b, buf] : journaled) {
-    RETURN_IF_ERROR(device_->WriteBlock(b, buf.span()));
-  }
-  RETURN_IF_ERROR(device_->Flush());
   FinishJournalEpoch();
   return Status::Ok();
 }
@@ -1103,6 +1130,12 @@ void Ufs::CollectStats(const metrics::StatsEmitter& emit) const {
   // Syncs whose transaction exceeded the journal and fell back to
   // unprotected in-place writes (crash tests keep this at 0).
   emit("journal_overflow_syncs", journal_overflow_syncs_);
+  emit("journal_checkpoints", journaled_ ? journal_->checkpoints() : 0);
+  emit("journal_live_blocks", journaled_ ? journal_->live_blocks() : 0);
+  // Home writes saved by lazy checkpointing: records a later transaction
+  // superseded before their block was written home.
+  emit("checkpoint_writes_absorbed",
+       journaled_ ? journal_->writes_absorbed() : 0);
 }
 
 uint64_t Ufs::FreeBlocks() const {

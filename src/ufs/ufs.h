@@ -9,6 +9,10 @@
 // cached: reads and writes of data go to the device, matching Table 2's
 // disk-layer behaviour ("reads and writes to the disk layer do require disk
 // I/Os"). Data caching is the job of the VMM and the coherency layer above.
+//
+// A journaled file system makes changes durable by appending transactions
+// to a write-ahead log (Commit, the fsync path) and writes home locations
+// lazily, at checkpoints (see journal.h).
 
 #ifndef SPRINGFS_UFS_UFS_H_
 #define SPRINGFS_UFS_UFS_H_
@@ -128,9 +132,16 @@ class Ufs : public metrics::StatsProvider {
   Status SetTimes(InodeNum ino, uint64_t atime_ns, uint64_t mtime_ns);
   Status SetSize(InodeNum ino, uint64_t size);
 
-  // Writes all dirty state (inodes, bitmaps, superblock) to the device.
-  // When journaled, the whole sync is one atomic transaction: a crash at
-  // any device write leaves the file system either before or after it.
+  // Makes all dirty state (inodes, bitmaps, superblock, file data) durable.
+  // When journaled, the commit is one atomic transaction appended to the
+  // log: a crash at any device write leaves the file system either before
+  // or after it. Home locations are written later, at a checkpoint. This is
+  // the file-level sync (fsync).
+  Status Commit();
+
+  // Commit, then a full checkpoint: every block is current at its home
+  // location and the log is empty. The file-system-level sync (and the
+  // unmount path); after it, the raw device image is self-contained.
   Status Sync();
 
   // Marks the instance dead: the destructor skips its unmount sync. For
@@ -172,19 +183,25 @@ class Ufs : public metrics::StatsProvider {
 
   // Device access. When journaled, writes land in `pending_` (the open
   // transaction) and reads see pending content first; nothing touches the
-  // device between syncs except cache-miss reads. ReadDeviceBlock is for
-  // file data and never caches; ReadMetaBlock is for blocks the file system
-  // parses and looks in `pending_`, then `meta_cache_`, then the device
-  // (filling the cache). WriteDeviceBlock refreshes a cached image — in
-  // journal-less mode only once the device write succeeded.
+  // device between commits except cache-miss reads, which go to the block's
+  // log slot while its latest committed version lives only in the log, and
+  // to its home otherwise. ReadDeviceBlock is for file data and never
+  // caches; ReadMetaBlock is for blocks the file system parses and looks in
+  // `pending_`, then `meta_cache_`, then the device (filling the cache).
+  // WriteDeviceBlock refreshes a cached image — in journal-less mode only
+  // once the device write succeeded.
   Status ReadDeviceBlock(BlockNum block, MutableByteSpan out);
   Status ReadMetaBlock(BlockNum block, MutableByteSpan out);
   Status WriteDeviceBlock(BlockNum block, ByteSpan data);
 
-  // Journaled sync: partitions `pending_` into freshly-allocated data
+  // Stages dirty inodes and bitmaps, then commits (journaled) or writes
+  // the superblock and flushes (journal-less).
+  Status CommitLocked();
+  // Journaled commit: partitions `pending_` into freshly-allocated data
   // blocks (written in place, "ordered" mode) and everything durable
-  // metadata may reference (journaled), then commits and checkpoints.
-  Status SyncJournaled();
+  // metadata or a live log record may reference (journaled), then appends
+  // the transaction to the log, checkpointing first when it is full.
+  Status CommitJournaled();
   // True when `block` was allocated at the last committed transaction, so
   // an in-place write would be visible after a crash.
   bool CommittedBitSet(BlockNum block) const;

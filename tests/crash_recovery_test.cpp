@@ -12,10 +12,14 @@
 // A control suite formats without the journal and asserts the same harness
 // detects corruption — proof the crash model has teeth.
 //
-// Two workload shapes run through the harness: small files that stay in the
-// direct blocks, and files whose writes and truncates cross into the
+// Three workload shapes run through the harness: small files that stay in
+// the direct blocks, and files whose writes and truncates cross into the
 // single- and double-indirect ranges, so crash points land on journaled
-// pointer blocks.
+// pointer blocks — both making every change durable with Sync (commit plus
+// checkpoint) — and small files made durable with Commit, syncing only now
+// and then, in a small log: many transactions stay live in the log, and
+// crash points land mid-commit, mid-checkpoint (log-full and Sync), and
+// right after a checkpoint.
 
 #include <gtest/gtest.h>
 
@@ -23,9 +27,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/blockdev/block_device.h"
 #include "src/blockdev/decorators.h"
@@ -101,12 +107,15 @@ using Model = std::map<std::string, FileModel>;
 
 // How many files a workload keeps, where it writes, how much, and how far
 // it truncates. Each draws from the workload's rng, so a shape replays
-// exactly from its seed.
+// exactly from its seed. A lazy shape's sync steps Commit, and Sync one
+// time in eight (one more rng draw per sync step).
 struct Shape {
   size_t max_files;  // at this many, a create step writes instead
   uint64_t (*write_offset)(Rng& rng);
   uint64_t max_write;  // bytes
   uint64_t (*truncate_size)(Rng& rng);
+  bool lazy = false;
+  uint64_t journal_blocks = 0;  // FormatOptions::journal_blocks
 };
 
 // Small files: every byte lives in the direct blocks.
@@ -143,22 +152,42 @@ uint64_t PointerShapeOffset(Rng& rng) {
 const Shape kPointerShape = {3, PointerShapeOffset, 6 * kBlockSize,
                              PointerShapeOffset};
 
+// kDirectShape's files, made durable lazily in a 24-block log: a
+// checkpoint every few commits, most of them because the log is full.
+const Shape kLazyLogShape = [] {
+  Shape shape = kDirectShape;
+  shape.lazy = true;
+  shape.journal_blocks = 24;
+  return shape;
+}();
+
 std::unique_ptr<FaultyBlockDevice> MakeDevice() {
   return std::make_unique<FaultyBlockDevice>(
       std::make_unique<MemBlockDevice>(kBlockSize, kDevBlocks));
 }
 
 // Runs the seeded workload. Snapshots the model keyed by the journal
-// transaction that persists it: before each Sync the upcoming transaction
-// id is last_committed_tx() + 1. Returns false when the device crashed
+// transaction that persists it: before each Commit or Sync the upcoming
+// transaction id is last_committed_tx() + 1. `before_sync`, when set, runs
+// before each Commit or Sync. Returns false when the device crashed
 // mid-workload (the armed run); the dry run always returns true.
 bool RunWorkload(ufs::Ufs* fs, const Shape& shape, uint64_t seed,
-                 std::map<uint64_t, Model>* snapshots) {
+                 std::map<uint64_t, Model>* snapshots,
+                 const std::function<void()>& before_sync = nullptr) {
   Rng rng(seed);
   Model model;
   if (snapshots != nullptr) {
     (*snapshots)[fs->last_committed_tx()] = model;  // post-format state
   }
+  auto make_durable = [&](bool full) {
+    if (snapshots != nullptr) {
+      (*snapshots)[fs->last_committed_tx() + 1] = model;
+    }
+    if (before_sync) {
+      before_sync();
+    }
+    return (full ? fs->Sync() : fs->Commit()).ok();
+  };
   int next_file = 0;
   std::vector<std::string> names;
   for (int step = 0; step < kSteps; ++step) {
@@ -206,38 +235,98 @@ bool RunWorkload(ufs::Ufs* fs, const Shape& shape, uint64_t seed,
       }
       names.erase(names.begin() + pick);
       model.erase(name);
-    } else {
-      if (snapshots != nullptr) {
-        (*snapshots)[fs->last_committed_tx() + 1] = model;
-      }
-      if (!fs->Sync().ok()) {
-        return false;
-      }
+    } else if (!make_durable(!shape.lazy || rng.Below(8) == 0)) {
+      return false;
     }
   }
-  if (snapshots != nullptr) {
-    (*snapshots)[fs->last_committed_tx() + 1] = model;
-  }
-  return fs->Sync().ok();
+  return make_durable(true);
 }
+
+// The device writes of an unarmed run, in order, and the index of the
+// first write of each Commit or Sync call.
+struct WriteTrace {
+  std::vector<BlockNum> blocks;
+  std::vector<size_t> call_starts;
+  BlockNum jnl_start = 0;
+};
 
 // Phase one of the harness: run the workload unarmed and count the device
 // writes it performs after format, so the crash point can be placed
-// uniformly among them.
-uint64_t CountWorkloadWrites(const Shape& shape, uint64_t seed, bool journal) {
+// uniformly among them. With `trace`, also records every write's block.
+uint64_t CountWorkloadWrites(const Shape& shape, uint64_t seed, bool journal,
+                             WriteTrace* trace = nullptr) {
   auto device = MakeDevice();
   auto fs = ufs::Ufs::Format(device.get(), &DefaultClock(),
-                             ufs::FormatOptions{journal});
+                             ufs::FormatOptions{journal, shape.journal_blocks});
   EXPECT_TRUE(fs.ok());
   if (!fs.ok()) {
     return 0;
   }
+  std::function<void()> before_sync;
+  if (trace != nullptr) {
+    trace->jnl_start = (*fs)->superblock().jnl_start();
+    device->set_predicate([trace](int op, BlockNum block) {
+      if (op == 1) {
+        trace->blocks.push_back(block);
+      }
+      return false;
+    });
+    before_sync = [trace] {
+      trace->call_starts.push_back(trace->blocks.size());
+    };
+  }
   uint64_t before = device->stats().writes;
-  EXPECT_TRUE(RunWorkload(fs->get(), shape, seed, nullptr));
+  EXPECT_TRUE(RunWorkload(fs->get(), shape, seed, nullptr, before_sync));
   EXPECT_EQ(metrics::StatValue(**fs, "journal_overflow_syncs"), 0u);
   uint64_t writes = device->stats().writes - before;
   (*fs)->Abandon();  // already synced; skip the unmount sync
   return writes;
+}
+
+// Where a crash point falls in a journaled run.
+enum class Window {
+  kInPlace,          // an ordered (in-place) data write
+  kCommit,           // a log write: header, descriptor or payload
+  kLogFullCheckpoint,
+  kSyncCheckpoint,
+  kAfterCheckpoint,  // the first write after a checkpoint's head write
+  kCount,
+};
+
+// Classifies the `k`th write (1-based) of a traced run. A checkpoint is the
+// run of home writes ending in a log-head write (the device's last block);
+// it is log-full when its own call goes on to write the log.
+Window Classify(const WriteTrace& trace, uint64_t k) {
+  const BlockNum head = kDevBlocks - 1;
+  auto in_log = [&](BlockNum b) { return b >= trace.jnl_start && b < head; };
+  size_t i = k - 1;
+  if (i > 0 && trace.blocks[i - 1] == head) {
+    return Window::kAfterCheckpoint;
+  }
+  if (in_log(trace.blocks[i])) {
+    return Window::kCommit;
+  }
+  size_t call_end = trace.blocks.size();
+  for (size_t start : trace.call_starts) {
+    if (start > i) {
+      call_end = start;
+      break;
+    }
+  }
+  for (size_t j = i; j < call_end; ++j) {
+    if (in_log(trace.blocks[j])) {
+      return Window::kInPlace;
+    }
+    if (trace.blocks[j] == head) {
+      for (size_t m = j + 1; m < call_end; ++m) {
+        if (in_log(trace.blocks[m])) {
+          return Window::kLogFullCheckpoint;
+        }
+      }
+      return Window::kSyncCheckpoint;
+    }
+  }
+  return Window::kInPlace;
 }
 
 // Verifies the recovered file system matches `want` exactly: same directory
@@ -275,22 +364,42 @@ void ExpectMatchesModel(ufs::Ufs* fs, const Model& want) {
   }
 }
 
-// One full crash/recovery property check for one seed.
-void RunCrashSeed(const Shape& shape, uint64_t seed) {
+// One full crash/recovery property check for one seed. Reports the window
+// its crash point fell in through `window`.
+void RunCrashSeed(const Shape& shape, uint64_t seed, Window* window) {
   // Per-seed black box (see tests/chaos_dfs_test.cpp): a failure dump below
   // then shows only this seed's journal/crash events.
   flight::Clear();
   SCOPED_TRACE("seed=" + std::to_string(seed));
-  uint64_t writes = CountWorkloadWrites(shape, seed, /*journal=*/true);
+  WriteTrace trace;
+  uint64_t writes = CountWorkloadWrites(shape, seed, /*journal=*/true, &trace);
   ASSERT_GT(writes, 0u);
+  ASSERT_EQ(trace.blocks.size(), writes);
 
   Rng pick(seed ^ 0xC0FFEE);
   CrashPlan plan;
   plan.crash_after_writes = pick.Range(1, writes);
   plan.seed = seed;
+  if (shape.lazy) {
+    // Aim at one window per seed, round robin, so every shard reaches the
+    // rare ones (a checkpoint's head write, the write right after it).
+    auto want = static_cast<Window>(seed % static_cast<int>(Window::kCount));
+    std::vector<uint64_t> candidates;
+    for (uint64_t k = 1; k <= writes; ++k) {
+      if (Classify(trace, k) == want) {
+        candidates.push_back(k);
+      }
+    }
+    if (!candidates.empty()) {
+      plan.crash_after_writes = candidates[pick.Below(candidates.size())];
+    }
+  }
+  *window = Classify(trace, plan.crash_after_writes);
 
   auto device = MakeDevice();
-  auto formatted = ufs::Ufs::Format(device.get());
+  auto formatted = ufs::Ufs::Format(
+      device.get(), &DefaultClock(),
+      ufs::FormatOptions{/*journal=*/true, shape.journal_blocks});
   ASSERT_TRUE(formatted.ok());
   std::map<uint64_t, Model> snapshots;
   device->ArmCrash(plan);
@@ -298,8 +407,8 @@ void RunCrashSeed(const Shape& shape, uint64_t seed) {
   ASSERT_FALSE(completed) << "workload survived the planned crash";
   ASSERT_TRUE(device->crashed());
 
-  // Abandon the dead mount, restore power, and remount: Mount replays the
-  // journal's last committed transaction.
+  // Abandon the dead mount, restore power, and remount: Mount replays every
+  // committed transaction still in the log.
   (*formatted)->Abandon();
   formatted->reset();
   device->RecoverAfterCrash();
@@ -342,8 +451,9 @@ bool CrashWithoutJournalIsDetected(const Shape& shape, uint64_t seed) {
   plan.seed = seed;
 
   auto device = MakeDevice();
-  auto formatted = ufs::Ufs::Format(device.get(), &DefaultClock(),
-                                    ufs::FormatOptions{/*journal=*/false});
+  auto formatted = ufs::Ufs::Format(
+      device.get(), &DefaultClock(),
+      ufs::FormatOptions{/*journal=*/false, shape.journal_blocks});
   EXPECT_TRUE(formatted.ok());
   device->ArmCrash(plan);
   (void)RunWorkload(formatted->get(), shape, seed, nullptr);
@@ -410,9 +520,10 @@ TEST(Journal, TornPayloadInvalidatesWholeTransaction) {
   tx[5] = content;
   ASSERT_TRUE(journal.Commit(1, tx).ok());
 
-  // Flip one byte of the journaled payload: the commit record still
-  // verifies, but the record CRC must not, so nothing is replayed.
-  uint64_t payload_block = 64 - 2 - tx.size();
+  // Flip one byte of the journaled payload: the transaction header still
+  // verifies, but the payload tag must not, so nothing is replayed.
+  BlockNum payload_block = journal.LiveSlot(5);
+  ASSERT_NE(payload_block, 5u);
   Buffer payload(kBlockSize);
   ASSERT_TRUE(device.ReadBlock(payload_block, payload.mutable_span()).ok());
   payload.data()[100] ^= 0xFF;
@@ -448,6 +559,156 @@ TEST(Journal, FitsAccountsForDescriptorsAndCommit) {
     too_big[b] = Buffer(kBlockSize);
   }
   EXPECT_EQ(journal.Commit(1, too_big).code(), ErrorCode::kNoSpace);
+}
+
+// Commits `tx` (home -> content) to `journal`, asserting success.
+void CommitOk(ufs::Journal& journal, uint64_t tx_id,
+              const std::map<BlockNum, Buffer>& tx) {
+  ASSERT_TRUE(journal.Commit(tx_id, tx).ok()) << "tx " << tx_id;
+}
+
+// Fills `home` with fresh random bytes straight on the device (a crash
+// mid-checkpoint, or newer in-place data) and returns them.
+Buffer Scribble(BlockDevice& device, BlockNum home, Rng& rng) {
+  Buffer junk(kBlockSize);
+  rng.Fill(junk.mutable_span());
+  EXPECT_TRUE(device.WriteBlock(home, junk.span()).ok());
+  return junk;
+}
+
+Buffer ReadHome(BlockDevice& device, BlockNum home) {
+  Buffer got(kBlockSize);
+  EXPECT_TRUE(device.ReadBlock(home, got.mutable_span()).ok());
+  return got;
+}
+
+TEST(Journal, ThreeCommittedTransactionsReplayInOrder) {
+  MemBlockDevice device(kBlockSize, 64);
+  ufs::Journal journal(&device, 40);
+  Rng rng(5);
+  std::map<BlockNum, Buffer> tx1, tx2, tx3;
+  tx1[5] = rng.RandomBuffer(kBlockSize);
+  tx1[9] = rng.RandomBuffer(kBlockSize);
+  tx2[5] = rng.RandomBuffer(kBlockSize);
+  tx3[9] = rng.RandomBuffer(kBlockSize);
+  tx3[17] = rng.RandomBuffer(kBlockSize);
+  CommitOk(journal, 7, tx1);
+  CommitOk(journal, 8, tx2);
+  CommitOk(journal, 9, tx3);
+  EXPECT_EQ(journal.live_blocks(), 3u);
+  EXPECT_EQ(journal.writes_absorbed(), 2u);  // 5 and 9 were superseded
+  for (BlockNum home : {5u, 9u, 17u}) {
+    Scribble(device, home, rng);
+  }
+
+  auto report = ufs::Journal::Replay(&device);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->tx_id, 9u);
+  EXPECT_EQ(report->blocks_replayed, 3u);
+  // The latest committed version of each block wins.
+  EXPECT_TRUE(ReadHome(device, 5) == tx2[5]);
+  EXPECT_TRUE(ReadHome(device, 9) == tx3[9]);
+  EXPECT_TRUE(ReadHome(device, 17) == tx3[17]);
+}
+
+TEST(Journal, TornMiddleTransactionStopsTheScan) {
+  MemBlockDevice device(kBlockSize, 64);
+  ufs::Journal journal(&device, 40);
+  Rng rng(6);
+  std::map<BlockNum, Buffer> tx1, tx2, tx3;
+  tx1[5] = rng.RandomBuffer(kBlockSize);
+  tx2[9] = rng.RandomBuffer(kBlockSize);
+  tx2[11] = rng.RandomBuffer(kBlockSize);
+  tx3[17] = rng.RandomBuffer(kBlockSize);
+  CommitOk(journal, 1, tx1);
+  CommitOk(journal, 2, tx2);
+  CommitOk(journal, 3, tx3);
+
+  // Tear one payload of tx 2: its header still verifies, its tag does not.
+  BlockNum torn = journal.LiveSlot(11);
+  Buffer payload = ReadHome(device, torn);
+  payload.data()[7] ^= 0x5A;
+  ASSERT_TRUE(device.WriteBlock(torn, payload.span()).ok());
+  Buffer home9 = Scribble(device, 9, rng);
+  Buffer home17 = Scribble(device, 17, rng);
+  Scribble(device, 5, rng);
+
+  auto report = ufs::Journal::Replay(&device);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->tx_id, 1u);
+  EXPECT_EQ(report->blocks_replayed, 1u);
+  EXPECT_TRUE(ReadHome(device, 5) == tx1[5]);
+  // Neither the torn transaction nor the valid one after it is applied.
+  EXPECT_TRUE(ReadHome(device, 9) == home9);
+  EXPECT_TRUE(ReadHome(device, 17) == home17);
+}
+
+TEST(Journal, RecordsFromBeforeACheckpointAreNeverReplayed) {
+  MemBlockDevice device(kBlockSize, 64);
+  ufs::Journal journal(&device, 40);
+  Rng rng(8);
+  std::map<BlockNum, Buffer> big, small;
+  for (BlockNum home = 1; home <= 8; ++home) {
+    big[home] = rng.RandomBuffer(kBlockSize);
+  }
+  CommitOk(journal, 1, big);
+  ASSERT_TRUE(journal.Checkpoint().ok());
+  EXPECT_EQ(journal.checkpoints(), 1u);
+  EXPECT_EQ(journal.live_blocks(), 0u);
+  for (const auto& [home, content] : big) {
+    EXPECT_TRUE(ReadHome(device, home) == content) << "home " << home;
+  }
+  // Nothing live: newer in-place data survives a replay.
+  Buffer newer = Scribble(device, 3, rng);
+  auto none = ufs::Journal::Replay(&device);
+  ASSERT_TRUE(none.ok());
+  EXPECT_EQ(none->tx_id, 0u);
+  EXPECT_TRUE(ReadHome(device, 3) == newer);
+
+  // The next transaction reuses the log from its start, overwriting only
+  // the first of tx 1's slots; tx 1's stale payloads stay behind it.
+  small[20] = rng.RandomBuffer(kBlockSize);
+  CommitOk(journal, 2, small);
+  Buffer newer6 = Scribble(device, 6, rng);
+  auto report = ufs::Journal::Replay(&device);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->tx_id, 2u);
+  EXPECT_EQ(report->blocks_replayed, 1u);
+  EXPECT_TRUE(ReadHome(device, 20) == small[20]);
+  EXPECT_TRUE(ReadHome(device, 3) == newer);
+  EXPECT_TRUE(ReadHome(device, 6) == newer6);
+}
+
+TEST(Journal, ReplayIsIdempotent) {
+  MemBlockDevice device(kBlockSize, 64);
+  ufs::Journal journal(&device, 40);
+  Rng rng(9);
+  std::map<BlockNum, Buffer> tx1, tx2;
+  tx1[5] = rng.RandomBuffer(kBlockSize);
+  tx1[9] = rng.RandomBuffer(kBlockSize);
+  tx2[5] = rng.RandomBuffer(kBlockSize);
+  CommitOk(journal, 1, tx1);
+  CommitOk(journal, 2, tx2);
+  Scribble(device, 5, rng);
+  Scribble(device, 9, rng);
+
+  auto image = [&] {
+    Buffer all;
+    for (BlockNum b = 0; b < device.num_blocks(); ++b) {
+      all.append(ReadHome(device, b).span());
+    }
+    return all;
+  };
+  auto first = ufs::Journal::Replay(&device);
+  ASSERT_TRUE(first.ok());
+  Buffer after_first = image();
+  auto second = ufs::Journal::Replay(&device);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->tx_id, first->tx_id);
+  EXPECT_EQ(second->blocks_replayed, first->blocks_replayed);
+  EXPECT_TRUE(image() == after_first);
+  EXPECT_TRUE(ReadHome(device, 5) == tx2[5]);
+  EXPECT_TRUE(ReadHome(device, 9) == tx1[9]);
 }
 
 // --- CrashPlan unit tests ---
@@ -560,11 +821,15 @@ TEST(CrashRecovery, JournalOffFormatStillWorks) {
 // --- The crash/recovery property suite: >= 200 seeded crash points ---
 
 // On the first failing seed, print the flight recorder (journal commits,
-// replay decisions, injected crash point) and save it for CI upload.
+// replay decisions, injected crash point) and save it for CI upload. A lazy
+// shape's shard must also land crash points in every window.
 void RunCrashShard(const Shape& shape, uint64_t first_seed) {
   bool dumped = false;
+  uint64_t hits[static_cast<int>(Window::kCount)] = {};
   for (uint64_t seed = first_seed; seed < first_seed + 55; ++seed) {
-    RunCrashSeed(shape, seed);
+    Window window = Window::kInPlace;
+    RunCrashSeed(shape, seed, &window);
+    ++hits[static_cast<int>(window)];
     if (!dumped && ::testing::Test::HasFailure()) {
       dumped = true;
       std::string header = "crash seed=" + std::to_string(seed);
@@ -575,6 +840,11 @@ void RunCrashShard(const Shape& shape, uint64_t first_seed) {
     }
     if (::testing::Test::HasFatalFailure()) {
       return;
+    }
+  }
+  if (shape.lazy) {
+    for (int w = 0; w < static_cast<int>(Window::kCount); ++w) {
+      EXPECT_GT(hits[w], 0u) << "no crash point in window " << w;
     }
   }
 }
@@ -608,6 +878,110 @@ TEST(CrashRecovery, PointerBlockCrashPointsShard3) {
   RunCrashShard(kPointerShape, 9000);
 }
 
+// The lazy log: Commit at each sync step and Sync one time in eight, in a
+// 24-block log, so replay meets several live transactions. Crash points aim
+// at every window of commit and checkpoint in turn (each shard checks it
+// reached them all).
+TEST(CrashRecovery, LazyLogCrashPointsShard0) {
+  RunCrashShard(kLazyLogShape, 11000);
+}
+TEST(CrashRecovery, LazyLogCrashPointsShard1) {
+  RunCrashShard(kLazyLogShape, 12000);
+}
+TEST(CrashRecovery, LazyLogCrashPointsShard2) {
+  RunCrashShard(kLazyLogShape, 13000);
+}
+TEST(CrashRecovery, LazyLogCrashPointsShard3) {
+  RunCrashShard(kLazyLogShape, 14000);
+}
+
+// The revoke rule. A truncate frees a data block whose overwrite is still
+// live in the log; the block comes back as another file's fresh (ordered)
+// data. Unless that data is logged too, replaying the older record would
+// clobber it. Crashes at every write of the last two commits.
+TEST(CrashRecovery, LazyLogRevokedBlockReallocatedAsOrderedData) {
+  Rng rng(99);
+  Buffer old_data = rng.RandomBuffer(kBlockSize);
+  Buffer new_data = rng.RandomBuffer(kBlockSize);
+  // Builds the scenario up to the final two commits; returns the mount.
+  auto prepare = [&](FaultyBlockDevice* device) {
+    auto formatted = ufs::Ufs::Format(device);
+    EXPECT_TRUE(formatted.ok());
+    std::unique_ptr<ufs::Ufs> fs = std::move(*formatted);
+    // Fill the device up to one free data block: a takes it, so the block
+    // a frees is the only one b can get.
+    ufs::InodeNum filler = *fs->Create(kRootInode, "filler",
+                                       ufs::FileType::kRegular);
+    Buffer zero(kBlockSize);
+    for (uint64_t b = 0; fs->FreeBlocks() > 1; ++b) {
+      EXPECT_TRUE(fs->WriteFileBlock(filler, b, zero.span()).ok());
+    }
+    EXPECT_EQ(fs->FreeBlocks(), 1u);
+    EXPECT_TRUE(fs->Sync().ok());
+    ufs::InodeNum a = *fs->Create(kRootInode, "a", ufs::FileType::kRegular);
+    EXPECT_TRUE(fs->Write(a, 0, zero.span()).ok());
+    EXPECT_TRUE(fs->Commit().ok());  // a's block: fresh, written in place
+    EXPECT_EQ(fs->FreeBlocks(), 0u);
+    EXPECT_TRUE(fs->Write(a, 0, old_data.span()).ok());
+    EXPECT_TRUE(fs->Commit().ok());  // overwrite: logged, live
+    EXPECT_TRUE(fs->Truncate(a, 0).ok());
+    EXPECT_TRUE(fs->Commit().ok());  // freed; its record is still live
+    EXPECT_EQ(fs->FreeBlocks(), 1u);
+    EXPECT_EQ(metrics::StatValue(*fs, "journal_checkpoints"), 2u);
+    return fs;
+  };
+  // The last two commits: b takes the freed block, then an unrelated one.
+  auto finish = [&](ufs::Ufs* fs) {
+    auto b = fs->Create(kRootInode, "b", ufs::FileType::kRegular);
+    return b.ok() && fs->Write(*b, 0, new_data.span()).ok() &&
+           fs->Commit().ok() &&
+           fs->Create(kRootInode, "c", ufs::FileType::kRegular).ok() &&
+           fs->Commit().ok();
+  };
+
+  auto dry = MakeDevice();
+  std::unique_ptr<ufs::Ufs> fs = prepare(dry.get());
+  uint64_t tx_before = fs->last_committed_tx();
+  uint64_t writes_before = dry->stats().writes;
+  ASSERT_TRUE(finish(fs.get()));
+  uint64_t writes = dry->stats().writes - writes_before;
+  EXPECT_EQ(metrics::StatValue(*fs, "journal_checkpoints"), 2u);
+  fs->Abandon();
+  ASSERT_GT(writes, 2u);
+
+  for (uint64_t crash_at = 1; crash_at <= writes + 1; ++crash_at) {
+    SCOPED_TRACE("crash at write " + std::to_string(crash_at));
+    auto device = MakeDevice();
+    std::unique_ptr<ufs::Ufs> armed = prepare(device.get());
+    device->ArmCrash(CrashPlan{crash_at, /*seed=*/crash_at});
+    bool completed = finish(armed.get());
+    armed->Abandon();
+    armed.reset();
+    // Past the last write, power is lost with every commit durable and
+    // none checkpointed: replay alone rebuilds b.
+    EXPECT_EQ(completed, crash_at > writes);
+    device->RecoverAfterCrash();
+    auto recovered = ufs::Ufs::Mount(device.get());
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    ufs::Checker checker(device.get());
+    auto report = checker.Check();
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report->clean()) << report->Summary();
+    auto b = (*recovered)->Lookup(kRootInode, "b");
+    if ((*recovered)->last_committed_tx() > tx_before) {
+      ASSERT_TRUE(b.ok());
+      Buffer got(kBlockSize);
+      auto n = (*recovered)->Read(*b, 0, got.mutable_span());
+      ASSERT_TRUE(n.ok());
+      EXPECT_EQ(*n, kBlockSize);
+      EXPECT_TRUE(got == new_data) << "replay clobbered reallocated data";
+    } else {
+      EXPECT_EQ(b.code(), ErrorCode::kNotFound);
+    }
+    (*recovered)->Abandon();
+  }
+}
+
 // Control: with the journal disabled the same crashes corrupt the file
 // system and the harness notices — i.e. the property suite above is not
 // vacuously green.
@@ -626,6 +1000,16 @@ TEST(CrashRecovery, PointerBlocksWithoutJournalHarnessDetectsCorruption) {
   constexpr int kSeeds = 40;
   for (uint64_t seed = 10000; seed < 10000 + kSeeds; ++seed) {
     detected += CrashWithoutJournalIsDetected(kPointerShape, seed) ? 1 : 0;
+  }
+  EXPECT_GE(detected, 1) << "no crash corrupted a journal-less fs in "
+                         << kSeeds << " seeds; the harness has no teeth";
+}
+
+TEST(CrashRecovery, LazyLogWithoutJournalHarnessDetectsCorruption) {
+  int detected = 0;
+  constexpr int kSeeds = 40;
+  for (uint64_t seed = 15000; seed < 15000 + kSeeds; ++seed) {
+    detected += CrashWithoutJournalIsDetected(kLazyLogShape, seed) ? 1 : 0;
   }
   EXPECT_GE(detected, 1) << "no crash corrupted a journal-less fs in "
                          << kSeeds << " seeds; the harness has no teeth";

@@ -288,6 +288,35 @@ TEST_F(ReadAheadTest, VmmClusterClampsToPartialPageAtEof) {
   EXPECT_LE(metrics::StatValue(*vmm, "faults"), 3u);
 }
 
+TEST_F(ReadAheadTest, VmmClusterPastEofPagesInNothingBeyondTheFile) {
+  // Layer read-ahead off. Reading this 5-page file from the start, the
+  // VMM's doubling fault cluster asks for pages [0, 1), [1, 3) and then
+  // [3, 7); the coherency layer must clamp the last request at EOF instead
+  // of paging in pages 5 and 6 from below. (A 3-page file read from the
+  // start never crosses EOF: its clusters end exactly at page 3.) The write
+  // left every page of the file in the coherency layer's cache, so any
+  // page-in from below would be past EOF.
+  constexpr uint64_t kPages = 5;
+  Sfs sfs = MakeSfs(0);
+  sp<File> file = *sfs.root->CreateFile(*Name::Parse("five"), sys_);
+  Rng rng(3);
+  Buffer data = rng.RandomBuffer(kPages * kPageSize);
+  ASSERT_TRUE(file->Write(0, data.span()).ok());
+  uint64_t before = metrics::StatValue(*sfs.coherency, "lower_page_ins");
+
+  sp<Vmm> vmm = Vmm::Create(Domain::Create("n"), "vmm");
+  sp<MappedRegion> region = *vmm->Map(file, AccessRights::kReadOnly);
+  Buffer page(kPageSize);
+  for (uint64_t p = 0; p < kPages; ++p) {
+    ASSERT_TRUE(region->Read(p * kPageSize, page.mutable_span()).ok());
+    EXPECT_TRUE(page == Buffer(data.subspan(p * kPageSize, kPageSize)))
+        << "page " << p;
+  }
+  EXPECT_EQ(metrics::StatValue(*vmm, "faults"), 3u);
+  EXPECT_EQ(metrics::StatValue(*sfs.coherency, "lower_page_ins"), before)
+      << "paged in from below past the end of the file";
+}
+
 TEST_F(ReadAheadTest, WriteFaultsAreNotExtended) {
   // Read-ahead grants extra pages read-only; a write fault must stay
   // page-granular so the writer set stays tight.

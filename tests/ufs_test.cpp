@@ -335,6 +335,27 @@ TEST_F(UfsTest, MountRejectsUnformattedDevice) {
   EXPECT_FALSE(Ufs::Mount(&raw).ok());
 }
 
+TEST_F(UfsTest, OneBlockJournalIsRefusedNotFatal) {
+  // A log needs its head block plus at least one log block.
+  MemBlockDevice small(kBlockSize, 512);
+  EXPECT_EQ(Ufs::Format(&small, clock_.get(),
+                        FormatOptions{.journal = true, .journal_blocks = 1})
+                .status()
+                .code(),
+            ErrorCode::kInvalidArgument);
+  // A superblock claiming such a journal is corrupt, not a crash.
+  ASSERT_TRUE(
+      Ufs::Format(&small, clock_.get(), FormatOptions{.journal = false}).ok());
+  Buffer block(kBlockSize);
+  ASSERT_TRUE(small.ReadBlock(0, block.mutable_span()).ok());
+  Superblock sb = *Superblock::Decode(block.span());
+  sb.jnl_blocks = 1;
+  sb.Encode(block.mutable_span());
+  ASSERT_TRUE(small.WriteBlock(0, block.span()).ok());
+  EXPECT_EQ(Ufs::Mount(&small, clock_.get()).status().code(),
+            ErrorCode::kCorrupted);
+}
+
 TEST_F(UfsTest, OutOfSpaceIsReported) {
   MemBlockDevice tiny(kBlockSize, 32);
   Result<std::unique_ptr<Ufs>> fs = Ufs::Format(&tiny, clock_.get());
@@ -391,6 +412,60 @@ TEST_F(UfsTest, MetaCacheStatsCountHitsMissesAndBlocks) {
   // Freeing the indirect block evicts it.
   ASSERT_TRUE(fs_->Truncate(ino, 0).ok());
   EXPECT_EQ(metrics::StatValue(*fs_, "meta_cache_blocks"), 1u);
+  ExpectClean();
+}
+
+TEST_F(UfsTest, LazyLogStatsCountCheckpointsLiveBlocksAndAbsorbedWrites) {
+  ASSERT_TRUE(fs_->journaled());
+  InodeNum ino = *fs_->Create(kRootInode, "f", FileType::kRegular);
+  Rng rng(11);
+  ASSERT_TRUE(fs_->WriteFileBlock(ino, 0, rng.RandomBuffer(kBlockSize).span())
+                  .ok());
+  ASSERT_TRUE(fs_->Sync().ok());
+  std::map<std::string, uint64_t> synced = metrics::CollectFrom(*fs_);
+  EXPECT_EQ(synced["journal_live_blocks"], 0u);
+
+  // Overwriting allocated data logs it: the superblock, the inode-table
+  // block and the data block are live after the first commit...
+  ASSERT_TRUE(fs_->WriteFileBlock(ino, 0, rng.RandomBuffer(kBlockSize).span())
+                  .ok());
+  ASSERT_TRUE(fs_->Commit().ok());
+  std::map<std::string, uint64_t> one = metrics::CollectFrom(*fs_);
+  EXPECT_EQ(one["journal_commits"], synced["journal_commits"] + 1);
+  EXPECT_EQ(one["journal_live_blocks"], 3u);
+  EXPECT_EQ(one["journal_checkpoints"], synced["journal_checkpoints"]);
+  EXPECT_EQ(one["checkpoint_writes_absorbed"],
+            synced["checkpoint_writes_absorbed"]);
+
+  // ...and a second commit of the same blocks supersedes all three, so the
+  // checkpoint writes each home once.
+  Buffer latest = rng.RandomBuffer(kBlockSize);
+  ASSERT_TRUE(fs_->WriteFileBlock(ino, 0, latest.span()).ok());
+  ASSERT_TRUE(fs_->Commit().ok());
+  std::map<std::string, uint64_t> two = metrics::CollectFrom(*fs_);
+  EXPECT_EQ(two["journal_live_blocks"], 3u);
+  EXPECT_EQ(two["checkpoint_writes_absorbed"],
+            one["checkpoint_writes_absorbed"] + 3);
+  EXPECT_EQ(two["journal_overflow_syncs"], 0u);
+
+  // The latest version lives only in the log; one device read serves it.
+  Buffer out(kBlockSize);
+  uint64_t reads = device_->stats().reads;
+  ASSERT_TRUE(fs_->ReadFileBlock(ino, 0, out.mutable_span()).ok());
+  EXPECT_EQ(device_->stats().reads, reads + 1);
+  EXPECT_TRUE(out == latest);
+
+  ASSERT_TRUE(fs_->Sync().ok());
+  std::map<std::string, uint64_t> checkpointed = metrics::CollectFrom(*fs_);
+  EXPECT_EQ(checkpointed["journal_checkpoints"],
+            two["journal_checkpoints"] + 1);
+  EXPECT_EQ(checkpointed["journal_live_blocks"], 0u);
+  EXPECT_EQ(checkpointed["journal_commits"], two["journal_commits"]);
+
+  fs_.reset();
+  fs_ = Ufs::Mount(device_.get(), clock_.get()).take_value();
+  ASSERT_TRUE(fs_->ReadFileBlock(ino, 0, out.mutable_span()).ok());
+  EXPECT_TRUE(out == latest);
   ExpectClean();
 }
 
