@@ -8,6 +8,11 @@
 //      with the simulated network latency.
 //   3. Remote and local caches are kept coherent through the P2-C2
 //      connection — measured as the callback cost on a ping-pong workload.
+//
+// Exits non-zero unless the verdicts hold: local mapped reads record zero
+// network messages and zero DFS page-ins, the DFS-mapped and SFS-mapped
+// regions share one cache channel, and a remote 4KB read costs at least
+// one round trip (2x the one-way latency).
 
 #include <cstdio>
 #include <map>
@@ -63,13 +68,12 @@ int main() {
   Measurement local_read = TimeOp(
       [&] { SPRINGFS_CHECK_OK(local_map->Read(0, out.mutable_span())); },
       10000);
+  uint64_t local_msgs = metrics::StatValue(network, "messages");
+  uint64_t local_page_ins = metrics::StatValue(*server, "remote_page_ins");
   std::printf("local mapped 4KB read : %8.2f us/op, %llu network msgs, "
               "%llu DFS page-ins\n",
-              local_read.mean_us,
-              static_cast<unsigned long long>(
-                  metrics::StatValue(network, "messages")),
-              static_cast<unsigned long long>(
-                  metrics::StatValue(*server, "remote_page_ins")));
+              local_read.mean_us, static_cast<unsigned long long>(local_msgs),
+              static_cast<unsigned long long>(local_page_ins));
 
   // Direct SFS access for comparison.
   sp<File> direct = ResolveAs<File>(sfs.root, "f", creds).take_value();
@@ -78,10 +82,9 @@ int main() {
   Measurement direct_read = TimeOp(
       [&] { SPRINGFS_CHECK_OK(direct_map->Read(0, out.mutable_span())); },
       10000);
+  bool same_channel = local_map->channel_id() == direct_map->channel_id();
   std::printf("direct SFS 4KB read   : %8.2f us/op (same channel: %s)\n",
-              direct_read.mean_us,
-              local_map->channel_id() == direct_map->channel_id() ? "yes"
-                                                                  : "NO!");
+              direct_read.mean_us, same_channel ? "yes" : "NO!");
 
   // 2. Remote access pays the protocol.
   sp<File> remote = ResolveAs<File>(client, "f", creds).take_value();
@@ -124,5 +127,18 @@ int main() {
   bench::PrintRule(72);
   std::printf("shape: local path unaffected by DFS; remote ops pay 2x "
               "latency; sharing costs\nper-transition callbacks only\n");
-  return 0;
+
+  bool ok = true;
+  auto check = [&](bool cond, const char* what) {
+    if (!cond) {
+      std::fprintf(stderr, "FAIL: %s\n", what);
+      ok = false;
+    }
+  };
+  check(local_msgs == 0, "local mapped reads send no network messages");
+  check(local_page_ins == 0, "local mapped reads cause no DFS page-ins");
+  check(same_channel, "local_map and direct_map share one cache channel");
+  check(remote_read.mean_us * 1000 >= 2.0 * kLatencyNs,
+        "a remote 4KB read costs >= 2x the one-way latency");
+  return ok ? 0 : 1;
 }

@@ -164,7 +164,6 @@ RunResult RunPipelineDepth(bench::BenchReport& report, size_t depth) {
       DfsServer::Create(server_node, &network, "dfs", sfs.root).take_value();
 
   dfs::DfsClientOptions options;
-  options.pipelined = true;
   options.async_depth = depth;
   options.channel.rto_ns = 400'000;  // recover well before the 2ms delay
   options.channel.rack_reorder_ns = 100'000;

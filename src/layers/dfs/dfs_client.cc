@@ -17,13 +17,6 @@ std::string UniqueCallbackService() {
   return "dfs-cb-" + std::to_string(next.fetch_add(1));
 }
 
-// Request ids are process-global (not per client): a server's dedup window
-// keys on the id alone, so two mounts must never mint the same one.
-uint64_t NewRequestId() {
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1);
-}
-
 // A recall can arrive for a delegation whose grant response is still in
 // flight to us; remember a bounded number of such ids so the grant is
 // discarded on arrival instead of installed stale.
@@ -61,9 +54,9 @@ class RemotePagerObject : public FsPagerObject, public Servant {
                          PageInResponse::Decode(response.payload.span()));
         return std::move(page.data);
       }
-      // A fault cluster: on a pipelined mount the range is split into up
-      // to async_depth kPageInRange chunks whose round trips overlap.
-      if (client_->channel_ && client_->options_.async_depth > 1) {
+      // A fault cluster: on a deeper mount the range is split into up to
+      // async_depth kPageInRange chunks whose round trips overlap.
+      if (client_->options_.async_depth > 1) {
         Result<Buffer> out =
             client_->FanoutPageIn(handle_, cache_id, offset, size, access);
         if (!out.ok()) {
@@ -71,8 +64,8 @@ class RemotePagerObject : public FsPagerObject, public Servant {
         }
         return out;
       }
-      // Sync mount: one kPageInRange round trip returns the whole block
-      // list instead of one kPageIn per page.
+      // Depth 1: one kPageInRange round trip returns the whole block list
+      // instead of one kPageIn per page.
       ASSIGN_OR_RETURN(net::Frame response,
                        client_->Call(Op::kPageInRange, request));
       RETURN_IF_ERROR(CheckStale(response.ToStatus()));
@@ -678,12 +671,9 @@ DfsClient::DfsClient(const sp<net::Node>& node, net::Network* network,
       server_node_(std::move(server_node)), service_(std::move(service)),
       callback_service_(std::move(callback_service)), clock_(clock),
       options_(options) {
-  if (options_.pipelined) {
-    net::ChannelOptions chan = options_.channel;
-    chan.max_inflight = std::max<size_t>(1, options_.async_depth);
-    channel_ = network_->OpenChannel(node_->name(), server_node_, service_,
-                                     chan);
-  }
+  net::ChannelOptions chan = options_.channel;
+  chan.max_inflight = std::max<size_t>(1, options_.async_depth);
+  channel_ = network_->OpenChannel(node_->name(), server_node_, service_, chan);
   metrics::Registry::Global().RegisterProvider(this);
 }
 
@@ -700,21 +690,6 @@ void DfsClient::Bump(uint64_t Stats::*field) {
 Result<net::Frame> DfsClient::Call(Op op, const net::Frame& request) {
   RetryState retry;
   return Call(op, request, &retry);
-}
-
-Result<net::Frame> DfsClient::Transport(const net::Frame& typed,
-                                        uint32_t attempt) {
-  if (channel_) {
-    // Pipelined mount: ride the persistent channel. The channel's own
-    // RACK/RTO machinery retransmits lost frames (byte-identical, so the
-    // server dedup window absorbs duplicates); this logical loop only sees
-    // a failure once the transport gave up.
-    uint64_t tag = channel_->Submit(typed, attempt);
-    ASSIGN_OR_RETURN(net::Completion done, channel_->Wait(tag));
-    RETURN_IF_ERROR(done.status);
-    return std::move(done.response);
-  }
-  return network_->Call(node_->name(), server_node_, service_, typed, attempt);
 }
 
 Result<net::Frame> DfsClient::Call(Op op, const net::Frame& request,
@@ -734,7 +709,10 @@ Result<net::Frame> DfsClient::Call(Op op, const net::Frame& request,
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.calls_sent;
     }
-    Result<net::Frame> response = Transport(typed, retry->attempt);
+    // The channel's own RACK/RTO machinery retransmits lost frames
+    // (byte-identical, so the server dedup window absorbs duplicates);
+    // this logical loop only sees a failure once the transport gave up.
+    Result<net::Frame> response = channel_->Call(typed, retry->attempt);
     ErrorCode code;
     if (response.ok()) {
       // A kDeadObject *frame* is the dead server's tombstone: the
@@ -905,29 +883,8 @@ Result<Buffer> DfsClient::ReadPipelined(const std::string& path, Offset offset,
                      LookupResponse::Decode(looked_up.payload.span()));
     uint64_t handle = looked.handle;
     Buffer out;
-    if (!channel_) {
-      // Sync mount: the same per-chunk frames, one blocking round trip
-      // each — the bench's depth=1 baseline.
-      for (Offset at = offset; at < offset + size; at += chunk_bytes) {
-        ReadRequest body;
-        body.handle = handle;
-        body.offset = at;
-        body.length = std::min<Offset>(chunk_bytes, offset + size - at);
-        net::Frame request;
-        request.payload = body.Encode();
-        ASSIGN_OR_RETURN(net::Frame response, Call(Op::kRead, request));
-        RETURN_IF_ERROR(response.ToStatus());
-        ASSIGN_OR_RETURN(ReadResponse chunk,
-                         ReadResponse::Decode(response.payload.span()));
-        out.append(chunk.data.span());
-        if (chunk.data.size() < body.length) {
-          break;  // short read: EOF
-        }
-      }
-      return out;
-    }
-    // Pipelined mount: submit every chunk; the channel caps the in-flight
-    // window at async_depth and Submit blocks (pumping) when it is full.
+    // Submit every chunk; the channel caps the in-flight window at
+    // async_depth and Submit blocks (pumping) when it is full.
     struct Chunk {
       uint64_t tag;
       uint64_t want;
@@ -1094,6 +1051,21 @@ Result<net::Frame> DfsClient::CallPath(Op op, const std::string& path) {
 }
 
 net::Frame DfsClient::HandleCallback(const net::Frame& request) {
+  // A recall must not run twice: the first run handed the cache's dirty
+  // blocks (or buffered attributes) over in a response that may be lost.
+  if (std::optional<net::Frame> replay =
+          callback_replies_.Find(request.request_id)) {
+    Bump(&Stats::callback_replays);
+    return *replay;
+  }
+  net::Frame response = RunCallback(request);
+  if (request.request_id != 0) {
+    callback_replies_.Insert(request.request_id, response);
+  }
+  return response;
+}
+
+net::Frame DfsClient::RunCallback(const net::Frame& request) {
   trace::ScopedSpan span("dfs.client_callback");
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -1568,6 +1540,7 @@ void DfsClient::CollectStats(const metrics::StatsEmitter& emit) const {
   std::lock_guard<std::mutex> lock(stats_mutex_);
   emit("calls_sent", stats_.calls_sent);
   emit("callbacks_received", stats_.callbacks_received);
+  emit("callback_replays", stats_.callback_replays);
   emit("retries", stats_.retries);
   emit("retry_successes", stats_.retry_successes);
   emit("retries_exhausted", stats_.retries_exhausted);

@@ -35,15 +35,15 @@ struct DfsClientOptions {
   uint64_t backoff_base_ns = 1'000'000;  // first retry waits this long
   uint64_t backoff_max_ns = 50'000'000;  // cap for the exponential growth
 
-  // Pipelined transport (DESIGN.md §12): the mount opens one persistent
+  // The mount channel (DESIGN.md §12): every mount opens one persistent
   // async channel to the server and every op rides submit/completion, so
   // the channel's RACK/RTO machinery recovers lost frames below the
-  // logical retry loop, and a multi-page fault cluster fans out into up
-  // to `async_depth` kPageInRange chunks whose round trips overlap.
-  // `channel` tunes the loss recovery; channel.max_inflight is derived
-  // from async_depth at mount time.
-  bool pipelined = false;
-  size_t async_depth = 8;
+  // logical retry loop. `async_depth` is its window (max_inflight): at 1
+  // each op is one blocking round trip and a fault cluster is one
+  // kPageInRange frame; above 1 a multi-page fault cluster fans out into
+  // up to `async_depth` chunks whose round trips overlap. `channel` tunes
+  // the loss recovery; its max_inflight is replaced by async_depth.
+  size_t async_depth = 1;
   net::ChannelOptions channel;
 
   // Compound open (DESIGN.md §13): resolving a path sends ONE kCompound
@@ -108,11 +108,10 @@ class DfsClient : public Context,
   Result<sp<File>> CreateFile(const Name& name, const Credentials& creds);
 
   // Bulk sequential read: fetches [offset, offset+size) of `path`'s file
-  // as per-`chunk_bytes` kRead frames. On a pipelined mount up to
-  // async_depth chunks stay in flight at once (the Lustre-direction
-  // precursor: many outstanding requests per channel); a sync mount
-  // degrades to a serial loop. Returns the bytes actually read (short at
-  // EOF or when a chunk's transport gave up).
+  // as per-`chunk_bytes` kRead frames, up to async_depth of them in flight
+  // at once (the Lustre-direction precursor: many outstanding requests per
+  // channel; depth 1 is a serial loop). Returns the bytes actually read
+  // (short at EOF or when a chunk's transport gave up).
   Result<Buffer> ReadPipelined(const std::string& path, Offset offset,
                                Offset size, size_t chunk_bytes);
 
@@ -143,6 +142,8 @@ class DfsClient : public Context,
   struct Stats {
     uint64_t calls_sent = 0;
     uint64_t callbacks_received = 0;
+    uint64_t callback_replays = 0;  // retransmitted callbacks answered
+                                    // from callback_replies_
     // Retry accounting for this client's channel to the server (one mount
     // = one channel).
     uint64_t retries = 0;            // individual re-sends
@@ -180,18 +181,17 @@ class DfsClient : public Context,
   Result<net::Frame> Call(Op op, const net::Frame& request, RetryState* retry);
   // Convenience: path-carrying call.
   Result<net::Frame> CallPath(Op op, const std::string& path);
-  // One wire round trip (no logical retry): the mount channel when
-  // pipelined, Network::Call otherwise.
-  Result<net::Frame> Transport(const net::Frame& typed, uint32_t attempt);
-  // Pipelined fan-out for a multi-page fault cluster: splits the range
-  // into up to async_depth kPageInRange chunks, keeps them all in flight,
-  // and reassembles the contiguous prefix from `offset`.
+  // Fan-out for a multi-page fault cluster: splits the range into up to
+  // async_depth kPageInRange chunks, keeps them all in flight, and
+  // reassembles the contiguous prefix from `offset`.
   Result<Buffer> FanoutPageIn(uint64_t handle, uint64_t cache_id,
                               Offset offset, Offset size,
                               AccessRights access);
 
-  // Server->client callbacks.
+  // Server->client callbacks: HandleCallback replays the stored response
+  // to a retransmitted copy, RunCallback executes a new one.
   net::Frame HandleCallback(const net::Frame& request);
+  net::Frame RunCallback(const net::Frame& request);
 
   // Bind support for RemoteFile: establishes the local channel and
   // registers it with the server; returns the cache rights.
@@ -231,7 +231,7 @@ class DfsClient : public Context,
   std::string callback_service_;
   Clock* clock_;
   DfsClientOptions options_;
-  // The mount's persistent async channel (null on a sync mount).
+  // The mount's persistent async channel.
   sp<net::Channel> channel_;
 
   std::atomic<uint64_t> server_epoch_{0};
@@ -247,6 +247,8 @@ class DfsClient : public Context,
   std::map<uint64_t, wp<class RemoteFile>> delegations_by_id_;
   // Recalls that raced their grant (bounded; see ForgetDelegation's doc).
   std::deque<uint64_t> unknown_recall_ids_;
+
+  ReplyCache callback_replies_{kCallbackReplyWindow};
 
   mutable std::mutex stats_mutex_;
   Stats stats_;

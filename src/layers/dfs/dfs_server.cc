@@ -399,7 +399,7 @@ DfsServer::DfsServer(const sp<net::Node>& node, net::Network* network,
     : Servant(node->domain()), node_(node), network_(network),
       service_(std::move(service)), clock_(clock), options_(options),
       boot_epoch_(NextBootEpoch()), boot_time_(clock->Now()),
-      under_(std::move(under)) {
+      under_(std::move(under)), dedup_(options.dedup_window) {
   // Handles are unique across instances, not just within one: a restarted
   // server starts its handle space at a fresh boot-epoch prefix, so a
   // client's stale handle can never silently resolve to a *different* file
@@ -426,7 +426,12 @@ Result<net::Frame> DfsServer::SendCallback(const std::string& to_node,
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.callbacks_sent;
   }
-  return network_->Call(node_->name(), to_node, to_service, request);
+  // A recall hands the client's dirty blocks (or buffered attributes) over
+  // in its response and is not safe to run twice: the request id lets the
+  // client's callback service replay that response to a retransmission.
+  net::Frame stamped = request;
+  stamped.request_id = NewRequestId();
+  return network_->Call(node_->name(), to_node, to_service, stamped);
 }
 
 void DfsServer::NoteLowerFlush() {
@@ -688,9 +693,7 @@ net::Frame DfsServer::HandleFrame(Op op, const net::Frame& request,
   // sub-op result, so a retransmitted compound never re-executes a
   // mutating sub-op.
   if (request.request_id != 0) {
-    std::lock_guard<std::mutex> lock(dedup_mutex_);
-    auto it = dedup_.find(request.request_id);
-    if (it != dedup_.end()) {
+    if (std::optional<net::Frame> replay = dedup_.Find(request.request_id)) {
       {
         std::lock_guard<std::mutex> stats_lock(stats_mutex_);
         ++stats_.dedup_hits;
@@ -701,7 +704,7 @@ net::Frame DfsServer::HandleFrame(Op op, const net::Frame& request,
       }
       flight::Record(flight::Severity::kWarn, "dfs", "dedup replay",
                      request.request_id, request.type);
-      return it->second;  // caller stamps the boot epoch
+      return *replay;  // caller stamps the boot epoch
     }
   }
   net::Frame response = Dispatch(op, request);
@@ -710,15 +713,7 @@ net::Frame DfsServer::HandleFrame(Op op, const net::Frame& request,
   // re-execute instead of replaying the transient failure forever.
   if (request.request_id != 0 &&
       response.ToStatus().code() != ErrorCode::kTimedOut) {
-    std::lock_guard<std::mutex> lock(dedup_mutex_);
-    auto [it, inserted] = dedup_.emplace(request.request_id, response);
-    if (inserted) {
-      dedup_order_.push_back(request.request_id);
-      while (dedup_order_.size() > options_.dedup_window) {
-        dedup_.erase(dedup_order_.front());
-        dedup_order_.pop_front();
-      }
-    }
+    dedup_.Insert(request.request_id, response);
   }
   return response;
 }
@@ -1425,10 +1420,7 @@ net::Frame DfsServer::HandleGetHealth(const net::Frame&) {
     body.delegations_active += file->delegations.size();
     body.leases_active += file->remote_caches.size();
   }
-  {
-    std::lock_guard<std::mutex> lock(dedup_mutex_);
-    body.dedup_entries = dedup_.size();
-  }
+  body.dedup_entries = dedup_.size();
   net::Frame response;
   response.payload = body.Encode();
   return response;

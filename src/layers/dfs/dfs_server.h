@@ -391,12 +391,10 @@ class DfsServer : public StackableFs,
   std::map<std::string, uint64_t> handles_by_path_;
   uint64_t next_handle_ = 1;
 
-  // Bounded dedup window: request_id -> original response, FIFO-evicted.
-  // Retransmissions of mutating ops replay the stored response instead of
-  // re-executing (exactly-once within this boot epoch).
-  std::mutex dedup_mutex_;
-  std::map<uint64_t, net::Frame> dedup_;
-  std::deque<uint64_t> dedup_order_;
+  // Bounded dedup window (options_.dedup_window entries): retransmissions
+  // of mutating ops replay the stored response instead of re-executing
+  // (exactly-once within this boot epoch).
+  ReplyCache dedup_;
 
   std::mutex bind_mutex_;
   sp<ServerFile> binding_file_;

@@ -5,11 +5,16 @@
 // protocol exactly as local cache managers do.
 //
 // Every op carries a typed request/response body in the Frame payload —
-// see src/layers/dfs/wire.h for the per-op structs and the codec. The
-// Frame's positional arg0..arg3 words are no longer used by DFS.
+// see src/layers/dfs/wire.h for the per-op structs and the codec.
 
 #ifndef SPRINGFS_LAYERS_DFS_PROTOCOL_H_
 #define SPRINGFS_LAYERS_DFS_PROTOCOL_H_
+
+#include <atomic>
+#include <deque>
+#include <map>
+#include <mutex>
+#include <optional>
 
 #include "src/fs/file.h"
 #include "src/net/network.h"
@@ -115,19 +120,20 @@ enum class Op : uint32_t {
 };
 
 // True for operations that are naturally safe to re-send when the
-// transport fails (timeout, dropped connection): pure reads, plus
-// kSyncFile (syncing twice is harmless). Mutating operations are NOT on
-// this list — the request may have executed even though the response was
-// lost, so a blind retry of kCreate could fail on an already-created file
-// and a blind retry of kWrite could double-apply it around another
-// client's writes. They become retry-safe anyway through a different
-// mechanism: the client stamps each mutating request with a unique
-// Frame::request_id and the server keeps a bounded dedup window that
-// replays the original response to a retransmission (exactly-once within
-// one server boot epoch; see DESIGN.md §11).
+// transport fails (timeout, dropped connection): pure reads. Mutating
+// operations are NOT on this list — the request may have executed even
+// though the response was lost, so a blind retry of kCreate could fail on
+// an already-created file and a blind retry of kWrite could double-apply it
+// around another client's writes. They become retry-safe anyway through a
+// different mechanism: the client stamps each mutating request with a
+// unique Frame::request_id and the server keeps a bounded dedup window
+// that replays the original response to a retransmission (exactly-once
+// within one server boot epoch; see DESIGN.md §11).
 // kCompound and kOpen are deliberately NOT idempotent: a compound may
 // embed mutating sub-ops, and kOpen allocates delegation state — both ride
-// the request-id dedup window instead.
+// the request-id dedup window instead. Neither is kSyncFile: syncing twice
+// is harmless to the data, but each run commits (and flushes) the lower
+// file system again, so a retransmitted sync replays instead.
 inline bool IsIdempotent(Op op) {
   switch (op) {
     case Op::kLookup:
@@ -137,7 +143,6 @@ inline bool IsIdempotent(Op op) {
     case Op::kRead:
     case Op::kPageIn:
     case Op::kPageInRange:
-    case Op::kSyncFile:
     // kGetStripeMap mutates only in the create-if-missing sense: the
     // metadata server ensures the per-target stripe objects exist, and an
     // object that already exists is simply reused. Re-sending it converges
@@ -154,6 +159,62 @@ inline bool IsIdempotent(Op op) {
       return false;
   }
 }
+
+// Request ids are process-global (not per client or server): a receiver's
+// dedup window keys on the id alone, so no two senders — mounts, or
+// servers issuing callbacks — may ever mint the same one.
+inline uint64_t NewRequestId() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1);
+}
+
+// Bounded FIFO of responses keyed by Frame::request_id, for the receiving
+// end of a request the channel may retransmit byte-identically: a copy
+// that arrives after the original ran replays the stored response instead
+// of executing twice (DESIGN.md §11). Thread-safe.
+class ReplyCache {
+ public:
+  explicit ReplyCache(size_t capacity) : capacity_(capacity) {}
+
+  std::optional<net::Frame> Find(uint64_t request_id) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = replies_.find(request_id);
+    if (it == replies_.end()) {
+      return std::nullopt;
+    }
+    return it->second;
+  }
+
+  // Keeps the first response stored for `request_id`; past capacity the
+  // oldest entry is evicted.
+  void Insert(uint64_t request_id, const net::Frame& response) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!replies_.emplace(request_id, response).second) {
+      return;
+    }
+    order_.push_back(request_id);
+    while (order_.size() > capacity_) {
+      replies_.erase(order_.front());
+      order_.pop_front();
+    }
+  }
+
+  size_t size() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return replies_.size();
+  }
+
+ private:
+  const size_t capacity_;
+  mutable std::mutex mu_;
+  std::map<uint64_t, net::Frame> replies_;
+  std::deque<uint64_t> order_;
+};
+
+// Responses a client's callback service keeps for replay. A callback
+// retransmission arrives within the channel's retransmit budget, long
+// before this many later callbacks could evict its entry.
+constexpr size_t kCallbackReplyWindow = 64;
 
 // Human-readable op names, used for per-op net/calls metrics
 // ("net/calls/lookup") and trace spans. Returns "op<N>" for unknown values.

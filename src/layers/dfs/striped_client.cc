@@ -775,14 +775,12 @@ Status StripedRemoteFile::EnsureBound(size_t target, size_t lane,
   request.type = static_cast<uint32_t>(Op::kBindCache);
   request.request_id = NewStripedRequestId();
   request.payload = body.Encode();
-  sp<net::Channel> chan = client_->ChannelFor(where);
-  uint64_t tag = chan->Submit(request);
-  ASSIGN_OR_RETURN(net::Completion got, chan->Wait(tag));
-  RETURN_IF_ERROR(got.status);
-  client_->NoteTargetEpoch(where, got.response.epoch);
-  RETURN_IF_ERROR(got.response.ToStatus());
+  ASSIGN_OR_RETURN(net::Frame response,
+                   client_->ChannelFor(where)->Call(request));
+  client_->NoteTargetEpoch(where, response.epoch);
+  RETURN_IF_ERROR(response.ToStatus());
   ASSIGN_OR_RETURN(BindCacheResponse bound,
-                   BindCacheResponse::Decode(got.response.payload.span()));
+                   BindCacheResponse::Decode(response.payload.span()));
   std::lock_guard<std::mutex> lock(mutex_);
   size_t idx = target * std::max<uint32_t>(map_.replicas, 1) + lane;
   if (idx >= bindings_.size()) {
@@ -790,12 +788,12 @@ Status StripedRemoteFile::EnsureBound(size_t target, size_t lane,
   }
   Binding& b = bindings_[idx];
   b.cache_id = bound.cache_id;
-  b.bound_epoch = got.response.epoch;
+  b.bound_epoch = response.epoch;
   if (b.rebound_pending) {
     b.rebound_pending = false;
     client_->Bump(&StripedDfsClient::Stats::stripe_rebinds);
     flight::Record(flight::Severity::kInfo, "dfs_striped", "stripe rebound",
-                   target, got.response.epoch);
+                   target, response.epoch);
   }
   *out = b;
   return Status::Ok();
@@ -1384,6 +1382,21 @@ Result<sp<File>> StripedDfsClient::OpenWithHandle(const std::string& path,
 }
 
 net::Frame StripedDfsClient::HandleDataCallback(const net::Frame& request) {
+  // Same replay rule as DfsClient::HandleCallback: a recall hands dirty
+  // blocks over in its response and must not run twice.
+  if (std::optional<net::Frame> replay =
+          callback_replies_.Find(request.request_id)) {
+    Bump(&Stats::callback_replays);
+    return *replay;
+  }
+  net::Frame response = RunDataCallback(request);
+  if (request.request_id != 0) {
+    callback_replies_.Insert(request.request_id, response);
+  }
+  return response;
+}
+
+net::Frame StripedDfsClient::RunDataCallback(const net::Frame& request) {
   trace::ScopedSpan span("dfs.striped_callback");
   Op op = static_cast<Op>(request.type);
   switch (op) {
@@ -1465,6 +1478,7 @@ void StripedDfsClient::CollectStats(const metrics::StatsEmitter& emit) const {
   emit("data_retries", snapshot.data_retries);
   emit("retries_exhausted", snapshot.retries_exhausted);
   emit("recalls_received", snapshot.recalls_received);
+  emit("callback_replays", snapshot.callback_replays);
   emit("zero_fills", snapshot.zero_fills);
   emit("replica_failovers", snapshot.replica_failovers);
   emit("degraded_writes", snapshot.degraded_writes);

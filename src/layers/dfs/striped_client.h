@@ -158,6 +158,8 @@ class StripedDfsClient : public Servant, public metrics::StatsProvider {
     uint64_t data_retries = 0;     // extent re-submissions
     uint64_t retries_exhausted = 0;
     uint64_t recalls_received = 0;  // data-server coherency callbacks
+    uint64_t callback_replays = 0;  // retransmitted callbacks answered
+                                    // from callback_replies_
     uint64_t zero_fills = 0;        // sparse stripe holes served as zeros
     uint64_t replica_failovers = 0;  // reads served by a non-primary replica
     uint64_t degraded_writes = 0;    // write extents completed on fewer
@@ -209,8 +211,11 @@ class StripedDfsClient : public Servant, public metrics::StatsProvider {
       const std::function<Buffer(uint64_t handle)>& encode);
 
   // Server->client callbacks from data servers (coherency recalls against
-  // this client's striped page caches).
+  // this client's striped page caches). HandleDataCallback replays the
+  // stored response to a retransmitted copy, RunDataCallback executes a
+  // new one.
   net::Frame HandleDataCallback(const net::Frame& request);
+  net::Frame RunDataCallback(const net::Frame& request);
 
   uint64_t NewRecallKey();
   void RegisterRecallRoute(uint64_t key, const sp<class StripedRemoteFile>& file,
@@ -241,6 +246,8 @@ class StripedDfsClient : public Servant, public metrics::StatsProvider {
   std::map<std::string, sp<class StripedRemoteFile>> files_;  // by path
   std::map<uint64_t, RecallRoute> recall_routes_;
   uint64_t next_recall_key_ = 1;
+
+  ReplyCache callback_replies_{kCallbackReplyWindow};
 
   mutable std::mutex stats_mutex_;
   Stats stats_;

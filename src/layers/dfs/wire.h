@@ -2,9 +2,9 @@
 //
 // Every DFS operation has a request struct and (where it returns data) a
 // response struct; each encodes into the Frame payload through WireWriter /
-// WireReader. The Frame's positional arg0..arg3 words are NOT used by DFS
-// anymore — they remain transport-level fields for other protocols. Typed
-// bodies are what make compound operations possible: a compound program is
+// WireReader; the Frame header carries only transport fields (type, status,
+// request id, epoch, trace context, tag). Typed bodies are what make
+// compound operations possible: a compound program is
 // simply a sequence of (op, encoded request body) pairs, and its result a
 // sequence of (op, status, encoded response body) triples, reusing the
 // same per-op structs as single-frame dispatch.

@@ -1,13 +1,19 @@
 #include "src/net/network.h"
 
-#include "src/obs/flight_recorder.h"
-#include "src/obs/trace.h"
-
 namespace springfs::net {
 namespace {
 
-// type, args, status, request_id, epoch, trace_id, parent_span_id, tag, len
-constexpr size_t kHeaderSize = 4 + 4 * 8 + 4 + 8 + 8 + 8 + 8 + 8 + 8;
+// Wire header layout, shared by Serialize, Deserialize and
+// StampTraceContext. All fields are little-endian; the payload follows.
+constexpr size_t kTypeAt = 0;           // u32
+constexpr size_t kStatusAt = 4;         // u32
+constexpr size_t kRequestIdAt = 8;      // u64
+constexpr size_t kEpochAt = 16;         // u64
+constexpr size_t kTraceIdAt = 24;       // u64
+constexpr size_t kParentSpanIdAt = 32;  // u64
+constexpr size_t kTagAt = 40;           // u64
+constexpr size_t kPayloadLenAt = 48;    // u64
+constexpr size_t kHeaderSize = 56;
 
 void PutU32(uint8_t* p, uint32_t v) {
   for (int i = 0; i < 4; ++i) {
@@ -39,18 +45,14 @@ uint64_t GetU64(const uint8_t* p) {
 Buffer Frame::Serialize() const {
   Buffer wire(kHeaderSize + payload.size());
   uint8_t* p = wire.data();
-  PutU32(p + 0, type);
-  PutU64(p + 4, arg0);
-  PutU64(p + 12, arg1);
-  PutU64(p + 20, arg2);
-  PutU64(p + 28, arg3);
-  PutU32(p + 36, static_cast<uint32_t>(status));
-  PutU64(p + 40, request_id);
-  PutU64(p + 48, epoch);
-  PutU64(p + 56, trace_id);
-  PutU64(p + 64, parent_span_id);
-  PutU64(p + 72, tag);
-  PutU64(p + 80, payload.size());
+  PutU32(p + kTypeAt, type);
+  PutU32(p + kStatusAt, static_cast<uint32_t>(status));
+  PutU64(p + kRequestIdAt, request_id);
+  PutU64(p + kEpochAt, epoch);
+  PutU64(p + kTraceIdAt, trace_id);
+  PutU64(p + kParentSpanIdAt, parent_span_id);
+  PutU64(p + kTagAt, tag);
+  PutU64(p + kPayloadLenAt, payload.size());
   wire.WriteAt(kHeaderSize, payload.span());
   return wire;
 }
@@ -61,18 +63,14 @@ Result<Frame> Frame::Deserialize(ByteSpan wire) {
   }
   Frame frame;
   const uint8_t* p = wire.data();
-  frame.type = GetU32(p + 0);
-  frame.arg0 = GetU64(p + 4);
-  frame.arg1 = GetU64(p + 12);
-  frame.arg2 = GetU64(p + 20);
-  frame.arg3 = GetU64(p + 28);
-  frame.status = static_cast<int32_t>(GetU32(p + 36));
-  frame.request_id = GetU64(p + 40);
-  frame.epoch = GetU64(p + 48);
-  frame.trace_id = GetU64(p + 56);
-  frame.parent_span_id = GetU64(p + 64);
-  frame.tag = GetU64(p + 72);
-  uint64_t payload_len = GetU64(p + 80);
+  frame.type = GetU32(p + kTypeAt);
+  frame.status = static_cast<int32_t>(GetU32(p + kStatusAt));
+  frame.request_id = GetU64(p + kRequestIdAt);
+  frame.epoch = GetU64(p + kEpochAt);
+  frame.trace_id = GetU64(p + kTraceIdAt);
+  frame.parent_span_id = GetU64(p + kParentSpanIdAt);
+  frame.tag = GetU64(p + kTagAt);
+  uint64_t payload_len = GetU64(p + kPayloadLenAt);
   if (wire.size() != kHeaderSize + payload_len) {
     return ErrCorrupted("frame payload length mismatch");
   }
@@ -87,11 +85,10 @@ Frame Frame::Error(ErrorCode code) {
 }
 
 void StampTraceContext(Buffer& wire, const trace::TraceContext& ctx) {
-  // Offsets fixed by Frame::Serialize. Patching the serialized header
-  // (rather than copying the Frame) keeps the hot path to the single
-  // Serialize allocation.
-  PutU64(wire.data() + 56, ctx.trace_id);
-  PutU64(wire.data() + 64, ctx.parent_span_id);
+  // Patching the serialized header (rather than copying the Frame) keeps
+  // the hot path to the single Serialize allocation.
+  PutU64(wire.data() + kTraceIdAt, ctx.trace_id);
+  PutU64(wire.data() + kParentSpanIdAt, ctx.parent_span_id);
 }
 
 void Node::RegisterService(const std::string& service, Handler handler) {
@@ -245,36 +242,16 @@ sp<Channel> Network::OpenChannel(const std::string& from,
                                  const std::string& to,
                                  const std::string& service,
                                  const ChannelOptions& options) {
-  return sp<Channel>(new Channel(this, from, to, service, options,
-                                 /*sync_compat=*/false));
+  return sp<Channel>(new Channel(this, from, to, service, options));
 }
 
 Result<Frame> Network::Call(const std::string& from, const std::string& to,
                             const std::string& service, const Frame& request,
                             uint32_t attempt) {
-  // Retransmissions get their own prefix so "net.call:" counts one span per
-  // logical call even when a FaultPlan forces retries.
-  trace::ScopedSpan span(trace::SpanKind::kNet,
-                         attempt == 0 ? "net.call:" : "net.retry:", service);
-  if (span.active()) {
-    std::string detail = from + "->" + to;
-    if (attempt != 0) {
-      detail += " attempt=" + std::to_string(attempt);
-    }
-    span.SetDetail(std::move(detail));
-  }
-  // A single-use channel in sync-compat mode: one outstanding frame, no
-  // internal retransmission (retry policy stays with the caller), and the
-  // legacy deterministic fault timing.
-  ChannelOptions compat;
-  compat.max_inflight = 1;
-  compat.pace_gap_ns = 0;
-  compat.max_retransmits = 0;
-  Channel channel(this, from, to, service, compat, /*sync_compat=*/true);
-  uint64_t tag = channel.Submit(request, attempt);
-  ASSIGN_OR_RETURN(Completion done, channel.Wait(tag));
-  RETURN_IF_ERROR(done.status);
-  return std::move(done.response);
+  ChannelOptions options;
+  options.max_inflight = 1;
+  Channel channel(this, from, to, service, options);
+  return channel.Call(request, attempt);
 }
 
 namespace {

@@ -14,9 +14,10 @@
 // a client-side pacer bounds the burst rate, and loss recovery is
 // reordering-tolerant in the spirit of FreeBSD's RACK (a frame is declared
 // lost as soon as later-sent frames complete, with a capped-backoff
-// retransmission timer as the last resort). The synchronous Network::Call
-// is a thin submit+wait wrapper over a single-use channel, so layers that
-// want one blocking round trip are unchanged.
+// retransmission timer as the last resort). There is one transport path:
+// the synchronous Network::Call is Channel::Call on a single-use ordinary
+// channel of depth 1, so a blocking round trip gets the same loss recovery
+// as a persistent mount channel.
 
 #ifndef SPRINGFS_NET_NETWORK_H_
 #define SPRINGFS_NET_NETWORK_H_
@@ -40,9 +41,10 @@
 
 namespace springfs::net {
 
-// One protocol frame. Fixed header (type + four u64 arguments + status +
-// request id + boot epoch + trace context + channel tag) and a variable
-// payload; everything crosses the "wire" serialized.
+// One protocol frame. Fixed header (type + status + request id + boot
+// epoch + trace context + channel tag) and a variable payload; everything
+// crosses the "wire" serialized. Protocols encode their arguments in the
+// payload.
 //
 // `request_id` is a client-generated identity for mutating requests: a
 // server that keeps a dedup window can recognise a retransmission and
@@ -63,10 +65,6 @@ namespace springfs::net {
 // window absorb reordered duplicates.
 struct Frame {
   uint32_t type = 0;
-  uint64_t arg0 = 0;
-  uint64_t arg1 = 0;
-  uint64_t arg2 = 0;
-  uint64_t arg3 = 0;
   int32_t status = 0;       // ErrorCode of the response (0 = OK)
   uint64_t request_id = 0;  // 0 = not deduplicable
   uint64_t epoch = 0;       // 0 = sender has no boot epoch
@@ -98,8 +96,8 @@ void StampTraceContext(Buffer& wire, const trace::TraceContext& ctx);
 // from its seed. Percentages are 0..100.
 //
 // Semantics (chosen to expose the interesting distributed bugs):
-//  - drop_request:  the handler never runs; a synchronous caller sees
-//    kTimedOut, a pipelined channel recovers by retransmission.
+//  - drop_request:  the handler never runs; the channel recovers by
+//    retransmission (kTimedOut once its retransmits are exhausted).
 //  - drop_response: the handler RAN (side effects applied!) but the
 //    response vanishes — the case that makes blind retry of mutating
 //    ops unsafe without request-id dedup.
@@ -212,9 +210,17 @@ class Channel {
 
   // Submits one request; returns its tag. Blocks (pumping the channel)
   // while the window is full. `attempt` is the caller's *logical*
-  // retransmission count, used only for the net.call:/net.retry: span
-  // prefix; channel-internal retransmissions always record net.retry:.
+  // retransmission count, noted in the flight recorder's fault events.
   uint64_t Submit(const Frame& request, uint32_t attempt = 0);
+
+  // One round trip: Submit + Wait, with the transport verdict folded into
+  // the result. The only code that opens the per-call span: attempt 0
+  // records "net.call:<service>", a logical retry "net.retry:<service>",
+  // so "net.call:" counts stay one per operation under an armed FaultPlan.
+  // The span stays open until the completion, so the server's handler
+  // (run by this caller's pump) and any channel-internal "net.retry:"
+  // copies nest under it.
+  Result<Frame> Call(const Frame& request, uint32_t attempt = 0);
 
   // Waits for a specific tag / the earliest unclaimed completion.
   Result<Completion> Wait(uint64_t tag);
@@ -246,7 +252,6 @@ class Channel {
       kArrive,   // request reaches the destination: run the handler
       kRespond,  // response reaches the caller: complete the tag
       kRto,      // retransmission timer for one transmission
-      kFail,     // sync-compat deterministic failure (dropped frame)
     };
     Kind kind = Kind::kArrive;
     uint64_t tag = 0;
@@ -254,13 +259,10 @@ class Channel {
     Buffer wire;            // kArrive: request bytes; kRespond: response
     bool dup = false;       // kArrive: duplicated copy, response discarded
     bool drop_response = false;  // kArrive: response vanishes after handler
-    Node::Handler handler;  // sync-compat: resolved at submit time
-    Status fail = Status::Ok();  // kFail: the completion's error
   };
 
   Channel(Network* network, std::string from, std::string to,
-          std::string service, const ChannelOptions& options,
-          bool sync_compat);
+          std::string service, const ChannelOptions& options);
 
   // Pops the earliest event, advances the clock to it, and processes it
   // (or waits for the thread currently doing so). `lock` holds mu_.
@@ -283,11 +285,6 @@ class Channel {
   Network* network_;
   std::string from_, to_, service_;
   ChannelOptions options_;
-  // Sync-compat channels (Network::Call) reproduce the legacy blocking
-  // semantics exactly: faults resolve at submit time, dropped frames
-  // surface as kTimedOut at the deterministic legacy times, and there is
-  // no internal retransmission.
-  bool sync_compat_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -366,17 +363,14 @@ class Network : public metrics::StatsProvider {
                           const std::string& service,
                           const ChannelOptions& options = {});
 
-  // Synchronous RPC: a thin submit+wait wrapper over a single-use channel.
-  // Serializes `request` (stamping the caller's trace context into the
-  // header), charges one-way latency, runs the service handler inside the
+  // Synchronous RPC: Channel::Call on a single-use channel with
+  // max_inflight = 1 and otherwise default ChannelOptions. Serializes
+  // `request` (stamping the caller's trace context into the header),
+  // charges one-way latency, runs the service handler inside the
   // destination node's domain, charges the return latency, and
-  // deserializes the response.
-  //
-  // `attempt` is the caller's retransmission count for this logical call:
-  // attempt 0 records a "net.call:<service>" span, retransmissions record
-  // "net.retry:<service>" — so "net.call:" span counts per operation stay
-  // stable under an armed FaultPlan (the retries remain visible, just
-  // under their own prefix).
+  // deserializes the response; a lost frame is retransmitted by the
+  // channel's RTO timer like on any other channel. `attempt` is the
+  // caller's logical retry count (see Channel::Call).
   Result<Frame> Call(const std::string& from, const std::string& to,
                      const std::string& service, const Frame& request,
                      uint32_t attempt = 0);

@@ -101,10 +101,10 @@ struct ChaosWorld {
                                 &clock, options);
     sp<File> seeded = *sfs.root->CreateFile(*Name::Parse("chaos"), sys);
     EXPECT_TRUE(seeded->SetLength(kPages * kPageSize).ok());
-    // Pipelined worlds mount the clients over the async channel, tuned for
-    // this fabric (1µs links, 50µs injected delays): the 100µs RTO beats
-    // nothing that merely crawled, but recovers drops long before the sync
-    // path's logical backoff would.
+    // Every world mounts the clients over a mount channel. Pipelined worlds
+    // widen it to depth 4 and tune it for this fabric (1µs links, 50µs
+    // injected delays): the 100µs RTO beats nothing that merely crawled,
+    // but recovers drops long before the default mount's 1ms RTO would.
     dfs::DfsClientOptions client_options;
     if (delegated) {
       // Compound opens asking for read delegations: grants, recalls,
@@ -113,7 +113,6 @@ struct ChaosWorld {
       client_options.delegations = true;
     }
     if (pipelined) {
-      client_options.pipelined = true;
       client_options.async_depth = 4;
       client_options.channel.rto_ns = 100'000;
       client_options.channel.rack_reorder_ns = 10'000;
@@ -168,15 +167,17 @@ struct PageModel {
 };
 
 // Accumulated across a shard so the sweep can prove it exercised the
-// delegation machinery (individual seeds may legitimately never grant).
-struct DelegationTeeth {
+// recovery and delegation machinery (individual seeds may legitimately
+// never drop a frame or grant).
+struct ShardTeeth {
   uint64_t granted = 0;
   uint64_t recalled = 0;
+  uint64_t retransmits = 0;  // transport copies: rack + rto
+  uint64_t dedup_hits = 0;   // server replays of a retransmitted request
 };
 
 void RunChaosSeed(uint64_t seed, bool pipelined = false,
-                  bool delegated = false,
-                  DelegationTeeth* teeth = nullptr) {
+                  bool delegated = false, ShardTeeth* teeth = nullptr) {
   // Per-seed black box: the flight recorder holds only this schedule's
   // events, so a failure dump reads as the seed's own story.
   flight::Clear();
@@ -368,12 +369,15 @@ void RunChaosSeed(uint64_t seed, bool pipelined = false,
   }
   ASSERT_TRUE(world.server->CheckCoherencyInvariants());
   if (teeth) {
-    teeth->granted += metrics::StatValue(*world.server, "delegations_granted");
-    teeth->recalled +=
-        metrics::StatValue(*world.server, "delegations_recalled");
-    for (const auto& retired : world.retired_servers) {
-      teeth->granted += metrics::StatValue(*retired, "delegations_granted");
-      teeth->recalled += metrics::StatValue(*retired, "delegations_recalled");
+    teeth->retransmits +=
+        metrics::StatValue(*world.network, "rack_retransmits") +
+        metrics::StatValue(*world.network, "rto_retransmits");
+    std::vector<sp<DfsServer>> servers = world.retired_servers;
+    servers.push_back(world.server);
+    for (const auto& server : servers) {
+      teeth->granted += metrics::StatValue(*server, "delegations_granted");
+      teeth->recalled += metrics::StatValue(*server, "delegations_recalled");
+      teeth->dedup_hits += metrics::StatValue(*server, "dedup_hits");
     }
   }
 }
@@ -392,14 +396,13 @@ void DumpFlightOnFailure(uint64_t seed, bool* dumped) {
   flight::DumpToArtifact("chaos", header);
 }
 
-// 4 shards x 55 seeds = 220 schedules, each run three times: over the
-// synchronous transport, pipelined, and with compound opens + read
-// delegations enabled (same seeds, so every sweep faces the same
-// schedules).
+// 4 shards x 55 seeds = 220 schedules, each run three times: on default
+// (depth-1) mounts, pipelined, and with compound opens + read delegations
+// enabled (same seeds, so every sweep faces the same schedules).
 void RunChaosShard(uint64_t first_seed, bool pipelined = false,
                    bool delegated = false) {
   bool dumped = false;
-  DelegationTeeth teeth;
+  ShardTeeth teeth;
   for (uint64_t seed = first_seed; seed < first_seed + 55; ++seed) {
     RunChaosSeed(seed, pipelined, delegated, &teeth);
     DumpFlightOnFailure(seed, &dumped);
@@ -410,6 +413,13 @@ void RunChaosShard(uint64_t first_seed, bool pipelined = false,
   if (delegated) {
     EXPECT_GT(teeth.granted, 0u) << "the sweep never granted a delegation";
     EXPECT_GT(teeth.recalled, 0u) << "the sweep never recalled a delegation";
+  }
+  if (!pipelined && !delegated) {
+    // Default mounts recover loss in the channel, not the logical retry
+    // loop: a shard whose channels never retransmitted (or whose servers
+    // never replayed a retransmitted request) proves nothing about it.
+    EXPECT_GT(teeth.retransmits, 0u) << "no transport retransmit in shard";
+    EXPECT_GT(teeth.dedup_hits, 0u) << "no dedup replay in shard";
   }
 }
 
@@ -436,10 +446,10 @@ TEST(ChaosDfs, PipelinedSeededSchedulesShard1) { RunChaosShard(2000, true); }
 TEST(ChaosDfs, PipelinedSeededSchedulesShard2) { RunChaosShard(3000, true); }
 TEST(ChaosDfs, PipelinedSeededSchedulesShard3) { RunChaosShard(4000, true); }
 
-// On a delay-heavy plan the pipelined transport must converge in strictly
-// fewer virtual-clock ticks than the synchronous one: a crawling request
-// pins a synchronous caller for the whole injected delay, while the
-// channel's RTO copy races past it.
+// On a delay-heavy plan the pipelined mount must converge in strictly
+// fewer virtual-clock ticks than a default mount: a crawling request pins
+// the default mount's caller for the whole injected delay (its 1ms RTO
+// outlasts it), while the pipelined channel's 100µs RTO copy races past.
 struct DelayHeavyRun {
   uint64_t ticks = 0;
   uint64_t recoveries = 0;  // rack + rto retransmits spent
@@ -472,12 +482,13 @@ DelayHeavyRun MeasureDelayHeavyRun(bool pipelined) {
 }
 
 TEST(ChaosDfs, PipelinedConvergesInFewerTicksThanSyncUnderDelay) {
-  DelayHeavyRun sync = MeasureDelayHeavyRun(false);
+  DelayHeavyRun default_mount = MeasureDelayHeavyRun(false);
   DelayHeavyRun piped = MeasureDelayHeavyRun(true);
-  EXPECT_LT(piped.ticks, sync.ticks)
-      << "pipelined recovery must beat synchronous waiting on delay-heavy "
-         "plans";
-  EXPECT_EQ(sync.recoveries, 0u) << "sync transport never retransmits";
+  EXPECT_LT(piped.ticks, default_mount.ticks)
+      << "pipelined recovery must beat the default mount's waiting on "
+         "delay-heavy plans";
+  EXPECT_EQ(default_mount.recoveries, 0u)
+      << "the default mount's RTO outlasts every injected delay";
   EXPECT_GT(piped.recoveries, 0u)
       << "the speedup should come from RTO/RACK copies racing the delays";
 }
@@ -1034,7 +1045,7 @@ TEST(ChaosNet, ConcurrentSendersSurviveFaultToggling) {
       const std::string to = (t % 2 == 0) ? "b" : "a";
       net::Frame request;
       for (int i = 0; i < 400; ++i) {
-        request.arg0 = i;
+        request.request_id = i;
         (void)network.Call(from, to, "echo", request);
       }
     });

@@ -25,18 +25,34 @@ using dfs::DfsServer;
 TEST(NetworkTest, FrameRoundTrip) {
   net::Frame frame;
   frame.type = 7;
-  frame.arg0 = 1;
-  frame.arg1 = 2;
-  frame.arg2 = 3;
-  frame.arg3 = 4;
   frame.status = -5;
+  frame.request_id = 1;
+  frame.epoch = 2;
+  frame.trace_id = 3;
+  frame.parent_span_id = 4;
+  frame.tag = 6;
   frame.payload = Buffer(std::string("payload"));
   Buffer wire = frame.Serialize();
   Result<net::Frame> back = net::Frame::Deserialize(wire.span());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->type, 7u);
-  EXPECT_EQ(back->arg3, 4u);
   EXPECT_EQ(back->status, -5);
+  EXPECT_EQ(back->request_id, 1u);
+  EXPECT_EQ(back->epoch, 2u);
+  EXPECT_EQ(back->trace_id, 3u);
+  EXPECT_EQ(back->parent_span_id, 4u);
+  EXPECT_EQ(back->tag, 6u);
+  EXPECT_EQ(back->payload.ToString(), "payload");
+  // The trace context patches in place at the same header words.
+  trace::TraceContext ctx;
+  ctx.trace_id = 30;
+  ctx.parent_span_id = 40;
+  net::StampTraceContext(wire, ctx);
+  back = net::Frame::Deserialize(wire.span());
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->trace_id, 30u);
+  EXPECT_EQ(back->parent_span_id, 40u);
+  EXPECT_EQ(back->tag, 6u);
   EXPECT_EQ(back->payload.ToString(), "payload");
 }
 
@@ -52,17 +68,17 @@ TEST(NetworkTest, CallDispatchesAndCharges) {
   sp<net::Node> b = network.AddNode("b");
   b->RegisterService("echo", [](const net::Frame& request) {
     net::Frame response;
-    response.arg0 = request.arg0 + 1;
+    response.request_id = request.request_id + 1;
     response.payload = request.payload;
     return response;
   });
   net::Frame request;
-  request.arg0 = 41;
+  request.request_id = 41;
   request.payload = Buffer(std::string("hi"));
   TimeNs before = clock.Now();
   Result<net::Frame> response = network.Call("a", "b", "echo", request);
   ASSERT_TRUE(response.ok());
-  EXPECT_EQ(response->arg0, 42u);
+  EXPECT_EQ(response->request_id, 42u);
   EXPECT_EQ(response->payload.ToString(), "hi");
   EXPECT_EQ(clock.Now() - before, 2000u);  // two hops
   EXPECT_EQ(metrics::StatValue(network, "messages"), 2u);
@@ -260,6 +276,27 @@ TEST_F(DfsTest, TwoRemoteClientsStayCoherent) {
   EXPECT_GT(metrics::StatValue(*server_, "callbacks_sent"), 0u);
 }
 
+TEST_F(DfsTest, LostRecallResponseReplaysTheDirtyBlocks) {
+  // Server callbacks ride an ordinary channel, so a lost response is
+  // retransmitted. The recall's first run already handed client1's dirty
+  // page over in the lost response; the client's callback service must
+  // replay that response, or the page would vanish without a trace.
+  sp<File> created = *sfs_.root->CreateFile(*Name::Parse("recall"), sys_);
+  ASSERT_TRUE(created->SetLength(kPageSize).ok());
+  sp<File> r1 = *ResolveAs<File>(client_, "recall", sys_);
+  sp<File> r2 = *ResolveAs<File>(client2_, "recall", sys_);
+  sp<MappedRegion> m1 = *client_vmm_->Map(r1, AccessRights::kReadWrite);
+  Buffer dirty(std::string("DIRT"));
+  ASSERT_TRUE(m1->Write(0, dirty.span()).ok());
+
+  network_->DropNextResponses("server", "client1", 1);
+  Buffer out(4);
+  ASSERT_TRUE(r2->Read(0, out.mutable_span()).ok());
+  EXPECT_EQ(out.ToString(), "DIRT");
+  EXPECT_EQ(metrics::StatValue(*network_, "dropped_responses"), 1u);
+  EXPECT_EQ(metrics::StatValue(*client_, "callback_replays"), 1u);
+}
+
 TEST_F(DfsTest, RemoteRemoveAndErrors) {
   ASSERT_TRUE(client_->CreateFile(*Name::Parse("gone"), sys_).ok());
   ASSERT_TRUE(client_->Unbind(*Name::Parse("gone"), sys_).ok());
@@ -317,25 +354,53 @@ TEST_F(DfsTest, MutatingCallsRetrySafelyThroughDedup) {
 }
 
 TEST_F(DfsTest, LostResponseRetransmissionAppliesExactlyOnce) {
-  // The *response* is lost: the server HAS executed the create, the client
-  // times out and retransmits the same request id, and the server's dedup
-  // window replays the original response instead of re-executing. A blind
-  // re-execute would fail with kAlreadyExists — the ok result proves the
-  // dedup path answered.
+  // The *response* is lost: the server HAS executed the create, the mount
+  // channel's RTO timer retransmits the byte-identical frame (same request
+  // id), and the server's dedup window replays the original response
+  // instead of re-executing. A blind re-execute would fail with
+  // kAlreadyExists — the ok result proves the dedup path answered.
   uint64_t calls_before = metrics::StatValue(*client_, "calls_sent");
+  uint64_t rto_before = metrics::StatValue(*network_, "rto_retransmits");
   network_->DropNextResponses("client1", "server", 1);
   Result<sp<File>> created = client_->CreateFile(*Name::Parse("exactly"),
                                                  sys_);
   ASSERT_TRUE(created.ok()) << created.status().ToString();
   std::map<std::string, uint64_t> stats = metrics::CollectFrom(*client_);
-  EXPECT_EQ(stats["retries"], 1u);
-  EXPECT_EQ(stats["calls_sent"], calls_before + 2);
+  // The transport recovered the loss; the logical retry loop never saw it.
+  EXPECT_EQ(metrics::StatValue(*network_, "rto_retransmits"), rto_before + 1);
+  EXPECT_EQ(stats["retries"], 0u);
+  EXPECT_EQ(stats["calls_sent"], calls_before + 1);
   EXPECT_EQ(metrics::StatValue(*server_, "dedup_hits"), 1u);
   EXPECT_EQ(metrics::StatValue(*network_, "dropped_responses"), 1u);
   // Exactly-once: the file exists and the remote view is usable.
   EXPECT_TRUE(ResolveAs<File>(sfs_.root, "exactly", sys_).ok());
   Buffer data(std::string("ok"));
   EXPECT_TRUE((*created)->Write(0, data.span()).ok());
+}
+
+TEST_F(DfsTest, LostSyncResponseReplaysInsteadOfRecommitting) {
+  // kSyncFile carries a request id like a mutating op: a retransmission
+  // after a lost response replays from the dedup window rather than
+  // committing (and flushing) the lower file system a second time.
+  sp<File> file = *client_->CreateFile(*Name::Parse("synced"), sys_);
+  Buffer data(std::string("durable"));
+  ASSERT_TRUE(file->Write(0, data.span()).ok());
+  ASSERT_TRUE(file->SyncFile().ok());
+  // Cost of one lower sync of an already-clean file; an empty commit still
+  // flushes, so a second run would show up here.
+  uint64_t before = device_->stats().flushes;
+  ASSERT_TRUE(file->SyncFile().ok());
+  uint64_t per_sync = device_->stats().flushes - before;
+  ASSERT_GT(per_sync, 0u);
+
+  uint64_t dedup_before = metrics::StatValue(*server_, "dedup_hits");
+  network_->DropNextResponses("client1", "server", 1);
+  before = device_->stats().flushes;
+  ASSERT_TRUE(file->SyncFile().ok());
+  EXPECT_EQ(metrics::StatValue(*network_, "dropped_responses"), 1u);
+  EXPECT_EQ(metrics::StatValue(*server_, "dedup_hits"), dedup_before + 1);
+  EXPECT_EQ(device_->stats().flushes - before, per_sync)
+      << "the retransmitted sync re-ran the lower commit";
 }
 
 TEST_F(DfsTest, LostWriteResponseDoesNotDoubleApply) {
@@ -358,15 +423,15 @@ TEST_F(DfsTest, LostWriteResponseDoesNotDoubleApply) {
 }
 
 TEST_F(DfsTest, ReorderedDuplicateOfMutatingOpAppliesExactlyOnce) {
-  // Pipelined transport, pathological reordering: the original copy of a
-  // kWrite is delayed so long that the channel's RTO retransmits it, the
-  // *retransmission* executes first, and the original limps in much later
-  // — after another client has overwritten the bytes. The server's dedup
-  // window must replay, not re-execute, or the stale write resurfaces.
+  // Mount channel with a short RTO, pathological reordering: the original
+  // copy of a kWrite is delayed so long that the channel's RTO retransmits
+  // it, the *retransmission* executes first, and the original limps in
+  // much later — after another client has overwritten the bytes. The
+  // server's dedup window must replay, not re-execute, or the stale write
+  // resurfaces.
   sp<File> created = *sfs_.root->CreateFile(*Name::Parse("reorder"), sys_);
   (void)created;
   dfs::DfsClientOptions options;
-  options.pipelined = true;
   options.async_depth = 4;
   options.channel.rto_ns = 100'000;
   options.channel.max_retransmits = 3;
@@ -386,8 +451,8 @@ TEST_F(DfsTest, ReorderedDuplicateOfMutatingOpAppliesExactlyOnce) {
   Buffer fresh_bytes(std::string("BBBB"));
   ASSERT_TRUE(other->Write(0, fresh_bytes.span()).ok());
 
-  // Let virtual time reach the original's arrival; the next pipelined op
-  // pumps it into the server, whose dedup window replays the original
+  // Let virtual time reach the original's arrival; the next op on that
+  // mount pumps it into the server, whose dedup window replays the original
   // response instead of re-executing the write.
   clock_.Advance(10'000'000);
   ASSERT_TRUE(remote->Stat().ok());

@@ -16,7 +16,7 @@
 namespace springfs {
 namespace {
 
-// Fabric with two nodes and an echo service that returns arg0 + 1.
+// Fabric with two nodes and an echo service that returns request_id + 1.
 class NetAsyncTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -26,15 +26,15 @@ class NetAsyncTest : public ::testing::Test {
     b_->RegisterService("echo", [this](const net::Frame& request) {
       ++handler_runs_;
       net::Frame response;
-      response.arg0 = request.arg0 + 1;
+      response.request_id = request.request_id + 1;
       response.payload = request.payload;
       return response;
     });
   }
 
-  uint64_t Submit(const sp<net::Channel>& channel, uint64_t arg0) {
+  uint64_t Submit(const sp<net::Channel>& channel, uint64_t id) {
     net::Frame request;
-    request.arg0 = arg0;
+    request.request_id = id;
     return channel->Submit(request);
   }
 
@@ -59,13 +59,13 @@ TEST_F(NetAsyncTest, TagsAreUniqueAndTrackOutstanding) {
   ASSERT_TRUE(c2.ok());
   ASSERT_TRUE(c2->status.ok());
   EXPECT_EQ(c2->tag, t2);
-  EXPECT_EQ(c2->response.arg0, 21u);
+  EXPECT_EQ(c2->response.request_id, 21u);
   Result<net::Completion> c1 = channel->Wait(t1);
   ASSERT_TRUE(c1.ok());
-  EXPECT_EQ(c1->response.arg0, 11u);
+  EXPECT_EQ(c1->response.request_id, 11u);
   Result<net::Completion> c3 = channel->Wait(t3);
   ASSERT_TRUE(c3.ok());
-  EXPECT_EQ(c3->response.arg0, 31u);
+  EXPECT_EQ(c3->response.request_id, 31u);
   EXPECT_EQ(channel->in_flight(), 0u);
   EXPECT_EQ(channel->stats().submitted, 3u);
   EXPECT_EQ(channel->stats().completed, 3u);
@@ -106,11 +106,11 @@ TEST_F(NetAsyncTest, CompletionsReorderUnderDelay) {
   Result<net::Completion> first = channel->WaitAny();
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first->tag, fast);
-  EXPECT_EQ(first->response.arg0, 3u);
+  EXPECT_EQ(first->response.request_id, 3u);
   Result<net::Completion> second = channel->WaitAny();
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->tag, slow);
-  EXPECT_EQ(second->response.arg0, 2u);
+  EXPECT_EQ(second->response.request_id, 2u);
   // Reordering alone must not trigger loss recovery: the fast completion
   // arrived inside the (default, 100µs) reordering window.
   EXPECT_EQ(channel->stats().rack_retransmits, 0u);
@@ -162,7 +162,7 @@ TEST_F(NetAsyncTest, RackDeclaresLossWhenLaterSendCompletes) {
   Result<net::Completion> recovered = channel->Wait(lost);
   ASSERT_TRUE(recovered.ok());
   ASSERT_TRUE(recovered->status.ok());
-  EXPECT_EQ(recovered->response.arg0, 2u);
+  EXPECT_EQ(recovered->response.request_id, 2u);
   EXPECT_TRUE(recovered->rack_recovered);
   EXPECT_EQ(recovered->retransmits, 1u);
   EXPECT_EQ(recovered->last_send_ns, before + 2000);
@@ -185,7 +185,7 @@ TEST_F(NetAsyncTest, RtoBackoffDoublesAndRecoversSolitaryLoss) {
   Result<net::Completion> done = channel->Wait(tag);
   ASSERT_TRUE(done.ok());
   ASSERT_TRUE(done->status.ok());
-  EXPECT_EQ(done->response.arg0, 8u);
+  EXPECT_EQ(done->response.request_id, 8u);
   EXPECT_EQ(done->retransmits, 2u);
   EXPECT_FALSE(done->rack_recovered);
   // Copies at T (dropped), T+10k (dropped), T+30k (10k + doubled 20k);
@@ -249,11 +249,11 @@ TEST_F(NetAsyncTest, SeededFaultSweepCompletesEveryTagExactlyOnce) {
     options.max_retransmits = 10;
     sp<net::Channel> channel =
         network_->OpenChannel("a", "b", "echo", options);
-    std::map<uint64_t, uint64_t> want;  // tag -> expected arg0
+    std::map<uint64_t, uint64_t> want;  // tag -> expected request_id
     for (uint64_t i = 0; i < 40; ++i) {
       net::Frame request;
-      request.arg0 = seed * 1000 + i;
-      want[channel->Submit(request)] = request.arg0 + 1;
+      request.request_id = seed * 1000 + i;
+      want[channel->Submit(request)] = request.request_id + 1;
     }
     size_t completions = 0;
     while (!want.empty()) {
@@ -263,7 +263,7 @@ TEST_F(NetAsyncTest, SeededFaultSweepCompletesEveryTagExactlyOnce) {
           << "seed " << seed << ": " << done->status.ToString();
       auto it = want.find(done->tag);
       ASSERT_NE(it, want.end()) << "seed " << seed << " duplicate completion";
-      EXPECT_EQ(done->response.arg0, it->second) << "seed " << seed;
+      EXPECT_EQ(done->response.request_id, it->second) << "seed " << seed;
       want.erase(it);
       ++completions;
     }
