@@ -18,6 +18,7 @@
 #include "src/blockdev/decorators.h"
 #include "src/layers/passfs/pass_layer.h"
 #include "src/layers/sfs/sfs.h"
+#include "src/support/logging.h"
 #include "src/support/rng.h"
 
 using namespace springfs;
@@ -62,7 +63,7 @@ Measurement RunConfig(const Config& config) {
     options.cache_data = config.cache_top && is_top;
     options.cache_attrs = config.cache_top && is_top;
     sp<PassLayer> layer = PassLayer::Create(domain, options);
-    layer->StackOn(top).ToString();
+    SPRINGFS_CHECK_OK(layer->StackOn(top));
     layers.push_back(layer);
     top = layer;
   }

@@ -43,10 +43,10 @@ int main() {
 
   // fs3 = COMPFS on fs1; fs4 = MIRRORFS on fs1 + fs2.
   sp<CompLayer> fs3 = CompLayer::Create(Domain::Create("fs3"));
-  fs3->StackOn(fs[0].root).ToString();
+  SPRINGFS_CHECK_OK(fs3->StackOn(fs[0].root));
   sp<MirrorLayer> fs4 = MirrorLayer::Create(Domain::Create("fs4"));
-  fs4->StackOn(fs[0].root).ToString();
-  fs4->StackOn(fs[1].root).ToString();
+  SPRINGFS_CHECK_OK(fs4->StackOn(fs[0].root));
+  SPRINGFS_CHECK_OK(fs4->StackOn(fs[1].root));
 
   std::printf("Figure 3 composition graph\n");
   std::printf("  fs3: %s\n", fs3->GetFsInfo()->type.c_str());

@@ -38,7 +38,7 @@ Setup MakeSetup(bool coherent) {
   CompLayerOptions options;
   options.coherent_lower = coherent;
   s.compfs = CompLayer::Create(Domain::Create("compfs"), options);
-  s.compfs->StackOn(s.sfs.root).ToString();
+  SPRINGFS_CHECK_OK(s.compfs->StackOn(s.sfs.root));
   return s;
 }
 

@@ -41,7 +41,7 @@ int main() {
   Sfs sfs = CreateSfs(&device, SfsOptions{}).take_value();
   sp<CompLayer> compfs =
       CompLayer::Create(server_node->domain(), CompLayerOptions{});
-  compfs->StackOn(sfs.root).ToString();
+  SPRINGFS_CHECK_OK(compfs->StackOn(sfs.root));
   sp<DfsServer> server =
       DfsServer::Create(server_node, &network, "dfs", compfs).take_value();
   sp<DfsClient> client =

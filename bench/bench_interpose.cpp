@@ -12,6 +12,7 @@
 #include "bench/bench_util.h"
 #include "src/layers/sfs/sfs.h"
 #include "src/naming/views.h"
+#include "src/support/logging.h"
 #include "src/support/rng.h"
 
 using namespace springfs;
@@ -65,7 +66,7 @@ int main() {
   MemBlockDevice device(ufs::kBlockSize, 8192);
   Sfs sfs = CreateSfs(&device, SfsOptions{}).take_value();
   sp<MemContext> root = MemContext::Create(domain);
-  root->Bind(Name::Single("vol"), sfs.root, creds).ToString();
+  SPRINGFS_CHECK_OK(root->Bind(Name::Single("vol"), sfs.root, creds));
 
   sp<StackableFs> vol = ResolveAs<StackableFs>(root, "vol", creds).take_value();
   sp<File> watched = vol->CreateFile(*Name::Parse("watched"), creds)

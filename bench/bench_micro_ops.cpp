@@ -10,6 +10,7 @@
 #include "src/codec/codec.h"
 #include "src/coherency/engine.h"
 #include "src/fs/mem_file.h"
+#include "src/support/logging.h"
 #include "src/support/rng.h"
 #include "src/ufs/ufs.h"
 #include "src/vmm/vmm.h"
@@ -130,11 +131,11 @@ void BM_VmmCachedPageRead(benchmark::State& state) {
   sp<Domain> domain = Domain::Create("bench");
   sp<Vmm> vmm = Vmm::Create(domain, "vmm");
   sp<MemFile> file = MemFile::Create(domain);
-  file->SetLength(kPageSize).ToString();
+  SPRINGFS_CHECK_OK(file->SetLength(kPageSize));
   sp<MappedRegion> region =
       vmm->Map(file, AccessRights::kReadOnly).take_value();
   Buffer out(kPageSize);
-  region->Read(0, out.mutable_span()).ToString();
+  SPRINGFS_CHECK_OK(region->Read(0, out.mutable_span()));
   for (auto _ : state) {
     benchmark::DoNotOptimize(region->Read(0, out.mutable_span()));
   }

@@ -1,9 +1,9 @@
 #include "src/layers/cfs/cfs_layer.h"
 
-#include "src/fs/channel_table.h"
-
 #include <algorithm>
 
+#include "src/fs/channel_table.h"
+#include "src/fs/prefix_context.h"
 #include "src/support/logging.h"
 
 namespace springfs {
@@ -215,14 +215,15 @@ sp<CfsLayer::FileState> CfsLayer::StateFor(const sp<File>& remote) {
   return state;
 }
 
-Result<sp<Object>> CfsLayer::WrapResolved(sp<Object> object) {
+Result<sp<Object>> CfsLayer::WrapResolved(const Name& name,
+                                           sp<Object> object) {
   if (sp<File> remote_file = narrow<File>(object)) {
-    sp<CfsLayer> self = std::dynamic_pointer_cast<CfsLayer>(shared_from_this());
-    return sp<Object>(std::make_shared<CfsFile>(domain(), self,
+    return sp<Object>(std::make_shared<CfsFile>(domain(), Self(),
                                                 StateFor(remote_file)));
   }
-  // Directories resolve through the remote context untouched; per-file
-  // interposition applies to files.
+  if (narrow<Context>(object)) {
+    return sp<Object>(MakePrefixContext(Self(), name));
+  }
   return object;
 }
 
@@ -235,7 +236,7 @@ Status CfsLayer::EnsureBoundRemote(const sp<FileState>& state) {
     }
   }
   binding_state_ = state;
-  sp<CfsLayer> self = std::dynamic_pointer_cast<CfsLayer>(shared_from_this());
+  sp<CfsLayer> self = Self();
   Result<sp<CacheRights>> rights =
       state->remote->Bind(self, AccessRights::kReadWrite);
   binding_state_ = nullptr;
@@ -254,7 +255,7 @@ Result<CacheManager::ChannelSetup> CfsLayer::EstablishChannel(
   if (!state) {
     return ErrInvalidArgument("unexpected channel establishment");
   }
-  sp<CfsLayer> self = std::dynamic_pointer_cast<CfsLayer>(shared_from_this());
+  sp<CfsLayer> self = Self();
   {
     std::lock_guard<std::recursive_mutex> lock(state->mutex);
     state->remote_fs_pager = narrow<FsPagerObject>(pager);
@@ -320,7 +321,7 @@ Result<sp<Object>> CfsLayer::Resolve(const Name& name,
       return sp<Object>(std::dynamic_pointer_cast<Object>(shared_from_this()));
     }
     ASSIGN_OR_RETURN(sp<Object> object, remote_->Resolve(name, creds));
-    return WrapResolved(std::move(object));
+    return WrapResolved(name, std::move(object));
   });
 }
 
@@ -338,13 +339,21 @@ Status CfsLayer::Unbind(const Name& name, const Credentials& creds) {
   return InDomain([&] { return remote_->Unbind(name, creds); });
 }
 
+Result<std::vector<BindingInfo>> CfsLayer::ListAt(const Name& prefix,
+                                                  const Credentials& creds) {
+  return InDomain([&] { return ListBelow(*remote_, prefix, creds); });
+}
+
 Result<std::vector<BindingInfo>> CfsLayer::List(const Credentials& creds) {
-  return InDomain([&] { return remote_->List(creds); });
+  return ListAt(Name(), creds);
 }
 
 Result<sp<Context>> CfsLayer::CreateContext(const Name& name,
                                             const Credentials& creds) {
-  return InDomain([&] { return remote_->CreateContext(name, creds); });
+  return InDomain([&]() -> Result<sp<Context>> {
+    RETURN_IF_ERROR(remote_->CreateContext(name, creds).status());
+    return MakePrefixContext(Self(), name);
+  });
 }
 
 Result<FsInfo> CfsLayer::GetFsInfo() {

@@ -51,6 +51,9 @@ class CfsLayer : public Context, public Fs, public CacheManager,
   Result<std::vector<BindingInfo>> List(const Credentials& creds) override;
   Result<sp<Context>> CreateContext(const Name& name,
                                     const Credentials& creds) override;
+  // List of the remote directory at `prefix` (PrefixContext::List).
+  Result<std::vector<BindingInfo>> ListAt(const Name& prefix,
+                                          const Credentials& creds);
 
   // --- Fs ---
   Result<FsInfo> GetFsInfo() override;
@@ -96,7 +99,13 @@ class CfsLayer : public Context, public Fs, public CacheManager,
 
   CfsLayer(sp<Domain> domain, sp<Context> remote, sp<Vmm> vmm, Clock* clock);
 
-  Result<sp<Object>> WrapResolved(sp<Object> object);
+  sp<CfsLayer> Self() {
+    return std::dynamic_pointer_cast<CfsLayer>(shared_from_this());
+  }
+
+  // Interposes on what `name` resolved to remotely: a file in a CfsFile, a
+  // directory in a PrefixContext (so files below it are interposed too).
+  Result<sp<Object>> WrapResolved(const Name& name, sp<Object> object);
   sp<FileState> StateFor(const sp<File>& remote);
   Status EnsureBoundRemote(const sp<FileState>& state);
   Status EnsureAttrs(FileState& state);      // state.mutex held

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/fs/prefix_context.h"
 #include "src/obs/trace.h"
 #include "src/support/logging.h"
 
@@ -419,48 +420,6 @@ class CoherentFile : public File, public Servant {
   sp<CoherencyLayer::FileState> state_;
 };
 
-// A directory view: resolutions through it wrap their results.
-class CoherentDirContext : public Context, public Servant {
- public:
-  CoherentDirContext(sp<Domain> domain, sp<CoherencyLayer> layer,
-                     sp<Context> under)
-      : Servant(std::move(domain)), layer_(std::move(layer)),
-        under_(std::move(under)) {}
-
-  Result<sp<Object>> Resolve(const Name& name,
-                             const Credentials& creds) override {
-    return InDomain([&]() -> Result<sp<Object>> {
-      ASSIGN_OR_RETURN(sp<Object> object, under_->Resolve(name, creds));
-      return layer_->WrapResolved(std::move(object));
-    });
-  }
-  Status Bind(const Name& name, sp<Object> object, const Credentials& creds,
-              bool replace) override {
-    return InDomain([&] {
-      return under_->Bind(name, layer_->UnwrapForBind(std::move(object)),
-                          creds, replace);
-    });
-  }
-  Status Unbind(const Name& name, const Credentials& creds) override {
-    return InDomain([&] { return under_->Unbind(name, creds); });
-  }
-  Result<std::vector<BindingInfo>> List(const Credentials& creds) override {
-    return InDomain([&] { return under_->List(creds); });
-  }
-  Result<sp<Context>> CreateContext(const Name& name,
-                                    const Credentials& creds) override {
-    return InDomain([&]() -> Result<sp<Context>> {
-      ASSIGN_OR_RETURN(sp<Context> ctx, under_->CreateContext(name, creds));
-      return sp<Context>(std::make_shared<CoherentDirContext>(
-          domain(), layer_, std::move(ctx)));
-    });
-  }
-
- private:
-  sp<CoherencyLayer> layer_;
-  sp<Context> under_;
-};
-
 // --- CoherencyLayer --------------------------------------------------------
 
 sp<CoherencyLayer> CoherencyLayer::Create(sp<Domain> domain,
@@ -528,24 +487,20 @@ Result<sp<CoherentFile>> CoherencyLayer::WrapFile(const sp<File>& under) {
     }
   }
   sp<FileState> state = StateForFile(under);
-  sp<CoherencyLayer> self =
-      std::dynamic_pointer_cast<CoherencyLayer>(shared_from_this());
-  auto wrapped = std::make_shared<CoherentFile>(domain(), self, state);
+  auto wrapped = std::make_shared<CoherentFile>(domain(), Self(), state);
   std::lock_guard<std::mutex> lock(mutex_);
   auto [it, inserted] = wrapped_files_.emplace(under.get(), wrapped);
   return it->second;
 }
 
-Result<sp<Object>> CoherencyLayer::WrapResolved(sp<Object> object) {
+Result<sp<Object>> CoherencyLayer::WrapResolved(const Name& name,
+                                                 sp<Object> object) {
   if (sp<File> file = narrow<File>(object)) {
     ASSIGN_OR_RETURN(sp<CoherentFile> wrapped, WrapFile(file));
     return sp<Object>(wrapped);
   }
-  if (sp<Context> ctx = narrow<Context>(object)) {
-    sp<CoherencyLayer> self =
-        std::dynamic_pointer_cast<CoherencyLayer>(shared_from_this());
-    return sp<Object>(
-        std::make_shared<CoherentDirContext>(domain(), self, ctx));
+  if (narrow<Context>(object)) {
+    return sp<Object>(MakePrefixContext(Self(), name));
   }
   return object;
 }
@@ -566,8 +521,7 @@ Status CoherencyLayer::EnsureBoundBelow(const sp<FileState>& state) {
     }
   }
   binding_state_ = state;
-  sp<CoherencyLayer> self =
-      std::dynamic_pointer_cast<CoherencyLayer>(shared_from_this());
+  sp<CoherencyLayer> self = Self();
   Result<sp<CacheRights>> rights =
       state->under->Bind(self, AccessRights::kReadWrite);
   binding_state_ = nullptr;
@@ -594,8 +548,7 @@ Result<CacheManager::ChannelSetup> CoherencyLayer::EstablishChannel(
     return ErrInvalidArgument(
         "unexpected channel establishment (no bind in progress)");
   }
-  sp<CoherencyLayer> self =
-      std::dynamic_pointer_cast<CoherencyLayer>(shared_from_this());
+  sp<CoherencyLayer> self = Self();
   {
     std::lock_guard<std::mutex> lock(state->mutex);
     state->lower_pager = pager;
@@ -1001,7 +954,7 @@ Result<sp<Object>> CoherencyLayer::Resolve(const Name& name,
       return sp<Object>(std::dynamic_pointer_cast<Object>(shared_from_this()));
     }
     ASSIGN_OR_RETURN(sp<Object> object, under_->Resolve(name, creds));
-    return WrapResolved(std::move(object));
+    return WrapResolved(name, std::move(object));
   });
 }
 
@@ -1047,14 +1000,19 @@ Status CoherencyLayer::Unbind(const Name& name, const Credentials& creds) {
   });
 }
 
-Result<std::vector<BindingInfo>> CoherencyLayer::List(
-    const Credentials& creds) {
+Result<std::vector<BindingInfo>> CoherencyLayer::ListAt(
+    const Name& prefix, const Credentials& creds) {
   return InDomain([&]() -> Result<std::vector<BindingInfo>> {
     if (!under_) {
       return ErrInvalidArgument("coherency layer not stacked");
     }
-    return under_->List(creds);
+    return ListBelow(*under_, prefix, creds);
   });
+}
+
+Result<std::vector<BindingInfo>> CoherencyLayer::List(
+    const Credentials& creds) {
+  return ListAt(Name(), creds);
 }
 
 Result<sp<Context>> CoherencyLayer::CreateContext(const Name& name,
@@ -1063,11 +1021,8 @@ Result<sp<Context>> CoherencyLayer::CreateContext(const Name& name,
     if (!under_) {
       return ErrInvalidArgument("coherency layer not stacked");
     }
-    ASSIGN_OR_RETURN(sp<Context> ctx, under_->CreateContext(name, creds));
-    sp<CoherencyLayer> self =
-        std::dynamic_pointer_cast<CoherencyLayer>(shared_from_this());
-    return sp<Context>(
-        std::make_shared<CoherentDirContext>(domain(), self, std::move(ctx)));
+    RETURN_IF_ERROR(under_->CreateContext(name, creds).status());
+    return MakePrefixContext(Self(), name);
   });
 }
 

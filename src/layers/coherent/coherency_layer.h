@@ -70,6 +70,9 @@ class CoherencyLayer : public StackableFs,
   Result<std::vector<BindingInfo>> List(const Credentials& creds) override;
   Result<sp<Context>> CreateContext(const Name& name,
                                     const Credentials& creds) override;
+  // List of the directory at layer-relative `prefix` (PrefixContext::List).
+  Result<std::vector<BindingInfo>> ListAt(const Name& prefix,
+                                          const Credentials& creds);
 
   // --- StackableFs ---
   Status StackOn(sp<StackableFs> underlying) override;
@@ -123,7 +126,6 @@ class CoherencyLayer : public StackableFs,
 
  private:
   friend class CoherentFile;
-  friend class CoherentDirContext;
   friend class CoherentPagerObject;
   friend class CoherencyLowerCacheObject;
 
@@ -149,8 +151,13 @@ class CoherencyLayer : public StackableFs,
     std::mutex mutex;
   };
 
-  // Wrapping machinery.
-  Result<sp<Object>> WrapResolved(sp<Object> object);
+  sp<CoherencyLayer> Self() {
+    return std::dynamic_pointer_cast<CoherencyLayer>(shared_from_this());
+  }
+
+  // Wrapping machinery. WrapResolved wraps what `name` resolved to below:
+  // a file in a CoherentFile, a directory in a PrefixContext.
+  Result<sp<Object>> WrapResolved(const Name& name, sp<Object> object);
   Result<sp<CoherentFile>> WrapFile(const sp<File>& under);
   sp<Object> UnwrapForBind(sp<Object> object);
   sp<FileState> StateForFile(const sp<File>& under);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "src/fs/prefix_context.h"
 #include "src/support/logging.h"
 
 namespace springfs {
@@ -388,71 +389,6 @@ class CompFile : public File, public Servant {
   sp<CompLayer::FileState> state_;
 };
 
-// Directory view; resolutions through it wrap and the .cmeta shadows stay
-// hidden.
-class CompDirContext : public Context, public Servant {
- public:
-  CompDirContext(sp<Domain> domain, sp<CompLayer> layer, sp<Context> under,
-                 Name prefix)
-      : Servant(std::move(domain)), layer_(std::move(layer)),
-        under_(std::move(under)), prefix_(std::move(prefix)) {}
-
-  Result<sp<Object>> Resolve(const Name& name,
-                             const Credentials& creds) override {
-    return InDomain([&]() -> Result<sp<Object>> {
-      if (!name.empty() && CompLayer::IsMetaName(name.back())) {
-        return ErrNotFound("metadata shadow files are not exported");
-      }
-      ASSIGN_OR_RETURN(sp<Object> object, under_->Resolve(name, creds));
-      return layer_->WrapResolved(prefix_.Join(name), std::move(object));
-    });
-  }
-  Status Bind(const Name& name, sp<Object> object,
-              const Credentials& creds, bool replace) override {
-    return InDomain(
-        [&] { return under_->Bind(name, std::move(object), creds, replace); });
-  }
-  Status Unbind(const Name& name, const Credentials& creds) override {
-    return InDomain([&]() -> Status {
-      RETURN_IF_ERROR(under_->Unbind(name, creds));
-      if (!name.empty()) {
-        Name meta = name.Parent().Join(
-            Name::Single(CompLayer::MetaNameFor(name.back())));
-        Status st = under_->Unbind(meta, creds);
-        if (!st.ok() && st.code() != ErrorCode::kNotFound) {
-          return st;
-        }
-      }
-      return Status::Ok();
-    });
-  }
-  Result<std::vector<BindingInfo>> List(const Credentials& creds) override {
-    return InDomain([&]() -> Result<std::vector<BindingInfo>> {
-      ASSIGN_OR_RETURN(std::vector<BindingInfo> all, under_->List(creds));
-      std::vector<BindingInfo> visible;
-      for (auto& entry : all) {
-        if (!CompLayer::IsMetaName(entry.name)) {
-          visible.push_back(std::move(entry));
-        }
-      }
-      return visible;
-    });
-  }
-  Result<sp<Context>> CreateContext(const Name& name,
-                                    const Credentials& creds) override {
-    return InDomain([&]() -> Result<sp<Context>> {
-      ASSIGN_OR_RETURN(sp<Context> ctx, under_->CreateContext(name, creds));
-      return sp<Context>(std::make_shared<CompDirContext>(
-          domain(), layer_, std::move(ctx), prefix_.Join(name)));
-    });
-  }
-
- private:
-  sp<CompLayer> layer_;
-  sp<Context> under_;
-  Name prefix_;
-};
-
 // --- CompLayer --------------------------------------------------------------
 
 sp<CompLayer> CompLayer::Create(sp<Domain> domain, CompLayerOptions options,
@@ -526,7 +462,7 @@ Result<sp<CompFile>> CompLayer::WrapFile(const Name& name,
   state->under_meta = under_meta;
   state->name = key;
   state->atime_ns = state->mtime_ns = clock_->Now();
-  sp<CompLayer> self = std::dynamic_pointer_cast<CompLayer>(shared_from_this());
+  sp<CompLayer> self = Self();
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = wrapped_files_.find(key);
   if (it != wrapped_files_.end()) {
@@ -545,11 +481,8 @@ Result<sp<Object>> CompLayer::WrapResolved(const Name& name,
     ASSIGN_OR_RETURN(sp<CompFile> wrapped, WrapFile(name, file));
     return sp<Object>(wrapped);
   }
-  if (sp<Context> ctx = narrow<Context>(object)) {
-    sp<CompLayer> self =
-        std::dynamic_pointer_cast<CompLayer>(shared_from_this());
-    return sp<Object>(
-        std::make_shared<CompDirContext>(domain(), self, ctx, name));
+  if (narrow<Context>(object)) {
+    return sp<Object>(MakePrefixContext(Self(), name));
   }
   return object;
 }
@@ -602,12 +535,14 @@ Status CompLayer::Unbind(const Name& name, const Credentials& creds) {
   });
 }
 
-Result<std::vector<BindingInfo>> CompLayer::List(const Credentials& creds) {
+Result<std::vector<BindingInfo>> CompLayer::ListAt(const Name& prefix,
+                                                   const Credentials& creds) {
   return InDomain([&]() -> Result<std::vector<BindingInfo>> {
     if (!under_) {
       return ErrInvalidArgument("compfs not stacked");
     }
-    ASSIGN_OR_RETURN(std::vector<BindingInfo> all, under_->List(creds));
+    ASSIGN_OR_RETURN(std::vector<BindingInfo> all,
+                     ListBelow(*under_, prefix, creds));
     std::vector<BindingInfo> visible;
     for (auto& entry : all) {
       if (!IsMetaName(entry.name)) {
@@ -618,17 +553,18 @@ Result<std::vector<BindingInfo>> CompLayer::List(const Credentials& creds) {
   });
 }
 
+Result<std::vector<BindingInfo>> CompLayer::List(const Credentials& creds) {
+  return ListAt(Name(), creds);
+}
+
 Result<sp<Context>> CompLayer::CreateContext(const Name& name,
                                              const Credentials& creds) {
   return InDomain([&]() -> Result<sp<Context>> {
     if (!under_) {
       return ErrInvalidArgument("compfs not stacked");
     }
-    ASSIGN_OR_RETURN(sp<Context> ctx, under_->CreateContext(name, creds));
-    sp<CompLayer> self =
-        std::dynamic_pointer_cast<CompLayer>(shared_from_this());
-    return sp<Context>(
-        std::make_shared<CompDirContext>(domain(), self, std::move(ctx), name));
+    RETURN_IF_ERROR(under_->CreateContext(name, creds).status());
+    return MakePrefixContext(Self(), name);
   });
 }
 
@@ -705,7 +641,7 @@ Status CompLayer::EnsureBoundBelow(const sp<FileState>& state) {
     }
   }
   binding_state_ = state;
-  sp<CompLayer> self = std::dynamic_pointer_cast<CompLayer>(shared_from_this());
+  sp<CompLayer> self = Self();
   Result<sp<CacheRights>> rights =
       state->under_data->Bind(self, AccessRights::kReadWrite);
   binding_state_ = nullptr;
@@ -739,7 +675,7 @@ Result<CacheManager::ChannelSetup> CompLayer::EstablishChannel(
   if (!state) {
     return ErrInvalidArgument("unexpected channel establishment");
   }
-  sp<CompLayer> self = std::dynamic_pointer_cast<CompLayer>(shared_from_this());
+  sp<CompLayer> self = Self();
   {
     std::lock_guard<std::mutex> lock(state->mutex);
     state->lower_pager = std::move(pager);

@@ -75,6 +75,10 @@ class CompLayer : public StackableFs,
   Result<std::vector<BindingInfo>> List(const Credentials& creds) override;
   Result<sp<Context>> CreateContext(const Name& name,
                                     const Credentials& creds) override;
+  // List of the directory at layer-relative `prefix`, .cmeta shadows hidden
+  // (PrefixContext::List).
+  Result<std::vector<BindingInfo>> ListAt(const Name& prefix,
+                                          const Credentials& creds);
 
   // --- StackableFs ---
   Status StackOn(sp<StackableFs> underlying) override;
@@ -103,7 +107,6 @@ class CompLayer : public StackableFs,
 
  private:
   friend class CompFile;
-  friend class CompDirContext;
   friend class CompPagerObject;
   friend class CompLowerCacheObject;
 
@@ -158,6 +161,12 @@ class CompLayer : public StackableFs,
   static bool IsMetaName(const std::string& component);
   static std::string MetaNameFor(const std::string& component);
 
+  sp<CompLayer> Self() {
+    return std::dynamic_pointer_cast<CompLayer>(shared_from_this());
+  }
+
+  // Wraps what `name` resolved to below: a file in a CompFile, a directory
+  // in a PrefixContext.
   Result<sp<Object>> WrapResolved(const Name& name, sp<Object> object);
   Result<sp<CompFile>> WrapFile(const Name& name, const sp<File>& under_data);
   Status EnsureBoundBelow(const sp<FileState>& state);

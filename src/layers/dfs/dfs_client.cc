@@ -5,6 +5,7 @@
 #include <functional>
 #include <optional>
 
+#include "src/fs/prefix_context.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/trace.h"
 #include "src/support/logging.h"
@@ -604,39 +605,6 @@ class RemoteFile : public File, public Servant {
   FileAttributes cto_attrs_;
   bool cto_prefetch_valid_ = false;
   Buffer cto_prefetch_;
-};
-
-// Remote directory, identified by path prefix.
-class RemoteDirContext : public Context, public Servant {
- public:
-  RemoteDirContext(sp<Domain> domain, sp<DfsClient> client, Name prefix)
-      : Servant(std::move(domain)), client_(std::move(client)),
-        prefix_(std::move(prefix)) {}
-
-  Result<sp<Object>> Resolve(const Name& name,
-                             const Credentials& creds) override {
-    return client_->Resolve(prefix_.Join(name), creds);
-  }
-  Status Bind(const Name& name, sp<Object> object, const Credentials& creds,
-              bool replace) override {
-    return client_->Bind(prefix_.Join(name), std::move(object), creds,
-                         replace);
-  }
-  Status Unbind(const Name& name, const Credentials& creds) override {
-    return client_->Unbind(prefix_.Join(name), creds);
-  }
-  Result<std::vector<BindingInfo>> List(const Credentials& creds) override {
-    (void)creds;
-    return client_->ListPath(prefix_.ToString());
-  }
-  Result<sp<Context>> CreateContext(const Name& name,
-                                    const Credentials& creds) override {
-    return client_->CreateContext(prefix_.Join(name), creds);
-  }
-
- private:
-  sp<DfsClient> client_;
-  Name prefix_;
 };
 
 Result<sp<DfsClient>> DfsClient::Mount(const sp<net::Node>& node,
@@ -1260,8 +1228,7 @@ Result<sp<Object>> DfsClient::ObjectForPath(const std::string& path) {
   sp<DfsClient> self = std::dynamic_pointer_cast<DfsClient>(shared_from_this());
   if (looked.is_dir) {
     ASSIGN_OR_RETURN(Name prefix, Name::Parse(path));
-    return sp<Object>(std::make_shared<RemoteDirContext>(domain(), self,
-                                                         prefix));
+    return sp<Object>(MakePrefixContext(self, std::move(prefix)));
   }
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = remote_files_.find(path);
@@ -1350,8 +1317,7 @@ Result<sp<Object>> DfsClient::ObjectForPathCompound(const std::string& path) {
   sp<DfsClient> self = std::dynamic_pointer_cast<DfsClient>(shared_from_this());
   if (looked.is_dir) {
     ASSIGN_OR_RETURN(Name prefix, Name::Parse(path));
-    return sp<Object>(std::make_shared<RemoteDirContext>(domain(), self,
-                                                         prefix));
+    return sp<Object>(MakePrefixContext(self, std::move(prefix)));
   }
   sp<RemoteFile> file;
   {
@@ -1451,9 +1417,12 @@ Status DfsClient::Unbind(const Name& name, const Credentials& creds) {
   });
 }
 
-Result<std::vector<BindingInfo>> DfsClient::ListPath(const std::string& path) {
+Result<std::vector<BindingInfo>> DfsClient::ListAt(const Name& prefix,
+                                                   const Credentials& creds) {
+  (void)creds;
   return InDomain([&]() -> Result<std::vector<BindingInfo>> {
-    ASSIGN_OR_RETURN(net::Frame response, CallPath(Op::kReadDir, path));
+    ASSIGN_OR_RETURN(net::Frame response,
+                     CallPath(Op::kReadDir, prefix.ToString()));
     RETURN_IF_ERROR(response.ToStatus());
     ASSIGN_OR_RETURN(ReadDirResponse body,
                      ReadDirResponse::Decode(response.payload.span()));
@@ -1470,8 +1439,7 @@ Result<std::vector<BindingInfo>> DfsClient::ListPath(const std::string& path) {
 }
 
 Result<std::vector<BindingInfo>> DfsClient::List(const Credentials& creds) {
-  (void)creds;
-  return ListPath("");
+  return ListAt(Name(), creds);
 }
 
 Result<sp<Context>> DfsClient::CreateContext(const Name& name,
@@ -1481,10 +1449,8 @@ Result<sp<Context>> DfsClient::CreateContext(const Name& name,
     ASSIGN_OR_RETURN(net::Frame response,
                      CallPath(Op::kMkdir, name.ToString()));
     RETURN_IF_ERROR(response.ToStatus());
-    sp<DfsClient> self =
-        std::dynamic_pointer_cast<DfsClient>(shared_from_this());
-    return sp<Context>(std::make_shared<RemoteDirContext>(domain(), self,
-                                                          name));
+    return MakePrefixContext(
+        std::dynamic_pointer_cast<DfsClient>(shared_from_this()), name);
   });
 }
 

@@ -99,6 +99,9 @@ class DfsClient : public Context,
   Result<std::vector<BindingInfo>> List(const Credentials& creds) override;
   Result<sp<Context>> CreateContext(const Name& name,
                                     const Credentials& creds) override;
+  // List of the remote directory at `prefix` (PrefixContext::List).
+  Result<std::vector<BindingInfo>> ListAt(const Name& prefix,
+                                          const Credentials& creds);
 
   // --- Fs ---
   Result<FsInfo> GetFsInfo() override;
@@ -131,7 +134,6 @@ class DfsClient : public Context,
 
  private:
   friend class RemoteFile;
-  friend class RemoteDirContext;
   friend class RemotePagerObject;
   // The striped client (striped_client.h) drives its metadata traffic
   // through this client's Call/retry machinery instead of duplicating it.
@@ -209,8 +211,6 @@ class DfsClient : public Context,
   // Re-resolves a path to a fresh handle after the server forgot the old
   // one (kStale across a restart).
   Result<uint64_t> RebindHandle(const std::string& path);
-  // Directory listing for a path (RemoteDirContext delegate).
-  Result<std::vector<BindingInfo>> ListPath(const std::string& path);
 
   Result<sp<Object>> ObjectForPath(const std::string& path);
   // The compound variant: a delegated cache hit resolves with zero round

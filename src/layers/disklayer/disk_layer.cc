@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/fs/prefix_context.h"
+
 namespace springfs {
 namespace {
 
@@ -165,36 +167,6 @@ class DiskFile : public File, public Servant {
   ufs::InodeNum ino_;
 };
 
-// A directory exported as a naming context.
-class DiskDirContext : public Context, public Servant {
- public:
-  DiskDirContext(sp<Domain> domain, sp<DiskLayer> layer, ufs::InodeNum dir)
-      : Servant(std::move(domain)), layer_(std::move(layer)), dir_(dir) {}
-
-  Result<sp<Object>> Resolve(const Name& name,
-                             const Credentials& creds) override {
-    return layer_->ResolveFrom(dir_, name, creds);
-  }
-  Status Bind(const Name& name, sp<Object> object, const Credentials& creds,
-              bool replace) override {
-    return layer_->BindFrom(dir_, name, std::move(object), creds, replace);
-  }
-  Status Unbind(const Name& name, const Credentials& creds) override {
-    return layer_->UnbindFrom(dir_, name, creds);
-  }
-  Result<std::vector<BindingInfo>> List(const Credentials& creds) override {
-    return layer_->ListFrom(dir_, creds);
-  }
-  Result<sp<Context>> CreateContext(const Name& name,
-                                    const Credentials& creds) override {
-    return layer_->CreateContextFrom(dir_, name, creds);
-  }
-
- private:
-  sp<DiskLayer> layer_;
-  ufs::InodeNum dir_;
-};
-
 Result<sp<DiskLayer>> DiskLayer::Format(sp<Domain> domain, BlockDevice* device,
                                         Clock* clock) {
   ASSIGN_OR_RETURN(std::unique_ptr<ufs::Ufs> fs,
@@ -217,9 +189,8 @@ static sp<DiskLayer> SelfOf(DiskLayer* layer) {
   return std::dynamic_pointer_cast<DiskLayer>(layer->shared_from_this());
 }
 
-Result<ufs::InodeNum> DiskLayer::WalkToDir(ufs::InodeNum start,
-                                           const Name& dirname) {
-  ufs::InodeNum current = start;
+Result<ufs::InodeNum> DiskLayer::WalkToDir(const Name& dirname) {
+  ufs::InodeNum current = ufs::kRootInode;
   for (const std::string& component : dirname.components()) {
     ASSIGN_OR_RETURN(current, ufs_->Lookup(current, component));
     ASSIGN_OR_RETURN(ufs::InodeAttrs attrs, ufs_->GetAttrs(current));
@@ -230,11 +201,11 @@ Result<ufs::InodeNum> DiskLayer::WalkToDir(ufs::InodeNum start,
   return current;
 }
 
-Result<sp<Object>> DiskLayer::ObjectForInode(ufs::InodeNum ino) {
+Result<sp<Object>> DiskLayer::ObjectForInode(ufs::InodeNum ino,
+                                             const Name& path) {
   ASSIGN_OR_RETURN(ufs::InodeAttrs attrs, ufs_->GetAttrs(ino));
   if (attrs.type == ufs::FileType::kDirectory) {
-    return sp<Object>(std::make_shared<DiskDirContext>(domain(), SelfOf(this),
-                                                       ino));
+    return sp<Object>(MakePrefixContext(SelfOf(this), path));
   }
   ASSIGN_OR_RETURN(sp<File> file, FileForInode(ino));
   return sp<Object>(file);
@@ -251,26 +222,21 @@ Result<sp<File>> DiskLayer::FileForInode(ufs::InodeNum ino) {
   return file;
 }
 
-Result<sp<Object>> DiskLayer::ResolveFrom(ufs::InodeNum start, const Name& name,
-                                          const Credentials& creds) {
+Result<sp<Object>> DiskLayer::Resolve(const Name& name,
+                                      const Credentials& creds) {
   (void)creds;
   return InDomain([&]() -> Result<sp<Object>> {
     if (name.empty()) {
-      if (start == ufs::kRootInode) {
-        return sp<Object>(
-            std::static_pointer_cast<Object>(shared_from_this()));
-      }
-      return ObjectForInode(start);
+      return sp<Object>(std::static_pointer_cast<Object>(shared_from_this()));
     }
-    ASSIGN_OR_RETURN(ufs::InodeNum dir, WalkToDir(start, name.Parent()));
+    ASSIGN_OR_RETURN(ufs::InodeNum dir, WalkToDir(name.Parent()));
     ASSIGN_OR_RETURN(ufs::InodeNum ino, ufs_->Lookup(dir, name.back()));
-    return ObjectForInode(ino);
+    return ObjectForInode(ino, name);
   });
 }
 
-Status DiskLayer::BindFrom(ufs::InodeNum start, const Name& name,
-                           sp<Object> object, const Credentials& creds,
-                           bool replace) {
+Status DiskLayer::Bind(const Name& name, sp<Object> object,
+                       const Credentials& creds, bool replace) {
   (void)creds;
   return InDomain([&]() -> Status {
     if (name.empty()) {
@@ -283,7 +249,7 @@ Status DiskLayer::BindFrom(ufs::InodeNum start, const Name& name,
       return ErrNotSupported(
           "disk layer contexts only hold objects implemented by this layer");
     }
-    ASSIGN_OR_RETURN(ufs::InodeNum dir, WalkToDir(start, name.Parent()));
+    ASSIGN_OR_RETURN(ufs::InodeNum dir, WalkToDir(name.Parent()));
     if (replace) {
       Status removed = ufs_->Remove(dir, name.back());
       if (!removed.ok() && removed.code() != ErrorCode::kNotFound) {
@@ -294,14 +260,13 @@ Status DiskLayer::BindFrom(ufs::InodeNum start, const Name& name,
   });
 }
 
-Status DiskLayer::UnbindFrom(ufs::InodeNum start, const Name& name,
-                             const Credentials& creds) {
+Status DiskLayer::Unbind(const Name& name, const Credentials& creds) {
   (void)creds;
   return InDomain([&]() -> Status {
     if (name.empty()) {
       return ErrInvalidArgument("cannot unbind the empty name");
     }
-    ASSIGN_OR_RETURN(ufs::InodeNum dir, WalkToDir(start, name.Parent()));
+    ASSIGN_OR_RETURN(ufs::InodeNum dir, WalkToDir(name.Parent()));
     ASSIGN_OR_RETURN(ufs::InodeNum target, ufs_->Lookup(dir, name.back()));
     RETURN_IF_ERROR(ufs_->Remove(dir, name.back()));
     // If that was the last link, drop the open-file state and pager
@@ -316,10 +281,11 @@ Status DiskLayer::UnbindFrom(ufs::InodeNum start, const Name& name,
   });
 }
 
-Result<std::vector<BindingInfo>> DiskLayer::ListFrom(ufs::InodeNum dir,
-                                                     const Credentials& creds) {
+Result<std::vector<BindingInfo>> DiskLayer::ListAt(const Name& prefix,
+                                                   const Credentials& creds) {
   (void)creds;
   return InDomain([&]() -> Result<std::vector<BindingInfo>> {
+    ASSIGN_OR_RETURN(ufs::InodeNum dir, WalkToDir(prefix));
     ASSIGN_OR_RETURN(std::vector<ufs::NamedEntry> entries, ufs_->ReadDir(dir));
     std::vector<BindingInfo> out;
     out.reserve(entries.size());
@@ -331,40 +297,22 @@ Result<std::vector<BindingInfo>> DiskLayer::ListFrom(ufs::InodeNum dir,
   });
 }
 
-Result<sp<Context>> DiskLayer::CreateContextFrom(ufs::InodeNum start,
-                                                 const Name& name,
-                                                 const Credentials& creds) {
+Result<std::vector<BindingInfo>> DiskLayer::List(const Credentials& creds) {
+  return ListAt(Name(), creds);
+}
+
+Result<sp<Context>> DiskLayer::CreateContext(const Name& name,
+                                             const Credentials& creds) {
   (void)creds;
   return InDomain([&]() -> Result<sp<Context>> {
     if (name.empty()) {
       return ErrInvalidArgument("cannot create a context at the empty name");
     }
-    ASSIGN_OR_RETURN(ufs::InodeNum dir, WalkToDir(start, name.Parent()));
-    ASSIGN_OR_RETURN(ufs::InodeNum ino,
-                     ufs_->Create(dir, name.back(),
-                                  ufs::FileType::kDirectory));
-    return sp<Context>(
-        std::make_shared<DiskDirContext>(domain(), SelfOf(this), ino));
+    ASSIGN_OR_RETURN(ufs::InodeNum dir, WalkToDir(name.Parent()));
+    RETURN_IF_ERROR(
+        ufs_->Create(dir, name.back(), ufs::FileType::kDirectory).status());
+    return MakePrefixContext(SelfOf(this), name);
   });
-}
-
-Result<sp<Object>> DiskLayer::Resolve(const Name& name,
-                                      const Credentials& creds) {
-  return ResolveFrom(ufs::kRootInode, name, creds);
-}
-Status DiskLayer::Bind(const Name& name, sp<Object> object,
-                       const Credentials& creds, bool replace) {
-  return BindFrom(ufs::kRootInode, name, std::move(object), creds, replace);
-}
-Status DiskLayer::Unbind(const Name& name, const Credentials& creds) {
-  return UnbindFrom(ufs::kRootInode, name, creds);
-}
-Result<std::vector<BindingInfo>> DiskLayer::List(const Credentials& creds) {
-  return ListFrom(ufs::kRootInode, creds);
-}
-Result<sp<Context>> DiskLayer::CreateContext(const Name& name,
-                                             const Credentials& creds) {
-  return CreateContextFrom(ufs::kRootInode, name, creds);
 }
 
 Status DiskLayer::StackOn(sp<StackableFs> underlying) {
@@ -379,8 +327,7 @@ Result<sp<File>> DiskLayer::CreateFile(const Name& name,
     if (name.empty()) {
       return ErrInvalidArgument("cannot create the empty name");
     }
-    ASSIGN_OR_RETURN(ufs::InodeNum dir,
-                     WalkToDir(ufs::kRootInode, name.Parent()));
+    ASSIGN_OR_RETURN(ufs::InodeNum dir, WalkToDir(name.Parent()));
     ASSIGN_OR_RETURN(ufs::InodeNum ino,
                      ufs_->Create(dir, name.back(), ufs::FileType::kRegular));
     return FileForInode(ino);

@@ -49,6 +49,9 @@ class DiskLayer : public StackableFs, public Servant {
   Result<std::vector<BindingInfo>> List(const Credentials& creds) override;
   Result<sp<Context>> CreateContext(const Name& name,
                                     const Credentials& creds) override;
+  // List of the directory at root-relative `prefix` (PrefixContext::List).
+  Result<std::vector<BindingInfo>> ListAt(const Name& prefix,
+                                          const Credentials& creds);
 
   // --- StackableFs ---
   Status StackOn(sp<StackableFs> underlying) override;
@@ -68,26 +71,15 @@ class DiskLayer : public StackableFs, public Servant {
  private:
   friend class DiskFile;
   friend class DiskPagerObject;
-  friend class DiskDirContext;
 
   DiskLayer(sp<Domain> domain, std::unique_ptr<ufs::Ufs> fs, Clock* clock);
 
-  // Context operations relative to an arbitrary directory inode; the root
-  // Context methods and DiskDirContext both delegate here.
-  Result<sp<Object>> ResolveFrom(ufs::InodeNum start, const Name& name,
-                                 const Credentials& creds);
-  Status BindFrom(ufs::InodeNum start, const Name& name, sp<Object> object,
-                  const Credentials& creds, bool replace);
-  Status UnbindFrom(ufs::InodeNum start, const Name& name,
-                    const Credentials& creds);
-  Result<std::vector<BindingInfo>> ListFrom(ufs::InodeNum dir,
-                                            const Credentials& creds);
-  Result<sp<Context>> CreateContextFrom(ufs::InodeNum start, const Name& name,
-                                        const Credentials& creds);
-
-  // Resolution helpers (no domain wrapping; callers wrap).
-  Result<ufs::InodeNum> WalkToDir(ufs::InodeNum start, const Name& dirname);
-  Result<sp<Object>> ObjectForInode(ufs::InodeNum ino);
+  // Resolution helpers (no domain wrapping; callers wrap). WalkToDir walks
+  // a root-relative directory name to its inode.
+  Result<ufs::InodeNum> WalkToDir(const Name& dirname);
+  // The object for `ino`, found at root-relative `path`: a File, or the
+  // directory's PrefixContext.
+  Result<sp<Object>> ObjectForInode(ufs::InodeNum ino, const Name& path);
 
   // Bind support for DiskFile.
   Result<sp<CacheRights>> BindFile(ufs::InodeNum ino,

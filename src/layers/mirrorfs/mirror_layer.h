@@ -62,15 +62,14 @@ class MirrorLayer : public StackableFs,
   std::string stats_prefix() const override { return "layer/mirrorfs"; }
   void CollectStats(const metrics::StatsEmitter& emit) const override;
 
-  // Listing relative to a path prefix (union over replicas); used by the
-  // directory views.
+  // List of the directory at layer-relative `prefix`, the union over
+  // replicas (PrefixContext::List).
   Result<std::vector<BindingInfo>> ListAt(const Name& prefix,
                                           const Credentials& creds);
 
  private:
   friend class MirrorFile;
   friend class MirrorPagerObject;
-  friend class MirrorDirContext;
 
   explicit MirrorLayer(sp<Domain> domain, Clock* clock);
 

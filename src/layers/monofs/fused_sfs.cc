@@ -1,5 +1,7 @@
 #include "src/layers/monofs/fused_sfs.h"
 
+#include "src/fs/prefix_context.h"
+
 namespace springfs {
 
 // A file served by the fused single-layer implementation. Mapped access
@@ -97,8 +99,13 @@ Status FusedSfs::Unbind(const Name& name, const Credentials& creds) {
   });
 }
 
-Result<std::vector<BindingInfo>> FusedSfs::List(const Credentials&) {
+Result<std::vector<BindingInfo>> FusedSfs::ListAt(const Name&,
+                                                  const Credentials&) {
   return ErrNotSupported("fused baseline: listing not offered");
+}
+
+Result<std::vector<BindingInfo>> FusedSfs::List(const Credentials& creds) {
+  return ListAt(Name(), creds);
 }
 
 Result<sp<Context>> FusedSfs::CreateContext(const Name& name,
@@ -106,7 +113,8 @@ Result<sp<Context>> FusedSfs::CreateContext(const Name& name,
   (void)creds;
   return InDomain([&]() -> Result<sp<Context>> {
     RETURN_IF_ERROR(fs_->Mkdir(name.ToString()));
-    return sp<Context>(std::dynamic_pointer_cast<Context>(shared_from_this()));
+    return MakePrefixContext(
+        std::dynamic_pointer_cast<FusedSfs>(shared_from_this()), name);
   });
 }
 

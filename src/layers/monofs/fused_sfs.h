@@ -37,6 +37,9 @@ class FusedSfs : public StackableFs, public Servant {
   Result<std::vector<BindingInfo>> List(const Credentials& creds) override;
   Result<sp<Context>> CreateContext(const Name& name,
                                     const Credentials& creds) override;
+  // Listing is not offered at any prefix (PrefixContext::List).
+  Result<std::vector<BindingInfo>> ListAt(const Name& prefix,
+                                          const Credentials& creds);
 
   // --- StackableFs ---
   Status StackOn(sp<StackableFs> underlying) override;

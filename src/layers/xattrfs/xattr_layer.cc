@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "src/fs/prefix_context.h"
 #include "src/support/logging.h"
 
 namespace springfs {
@@ -116,67 +117,6 @@ class XattrFileImpl : public XattrFile, public Servant {
   sp<XattrLayer::FileState> state_;
 };
 
-// Directory view hiding the shadow files.
-class XattrDirContext : public Context, public Servant {
- public:
-  XattrDirContext(sp<Domain> domain, sp<XattrLayer> layer, sp<Context> under,
-                  Name prefix)
-      : Servant(std::move(domain)), layer_(std::move(layer)),
-        under_(std::move(under)), prefix_(std::move(prefix)) {}
-
-  Result<sp<Object>> Resolve(const Name& name,
-                             const Credentials& creds) override {
-    return InDomain([&]() -> Result<sp<Object>> {
-      if (!name.empty() && XattrLayer::IsShadowName(name.back())) {
-        return ErrNotFound("attribute shadow files are not exported");
-      }
-      ASSIGN_OR_RETURN(sp<Object> object, under_->Resolve(name, creds));
-      return layer_->WrapResolved(prefix_.Join(name), std::move(object));
-    });
-  }
-  Status Bind(const Name& name, sp<Object> object, const Credentials& creds,
-              bool replace) override {
-    return under_->Bind(name, std::move(object), creds, replace);
-  }
-  Status Unbind(const Name& name, const Credentials& creds) override {
-    return InDomain([&]() -> Status {
-      RETURN_IF_ERROR(under_->Unbind(name, creds));
-      if (!name.empty()) {
-        Status st = under_->Unbind(XattrLayer::ShadowNameFor(name), creds);
-        if (!st.ok() && st.code() != ErrorCode::kNotFound) {
-          return st;
-        }
-      }
-      return Status::Ok();
-    });
-  }
-  Result<std::vector<BindingInfo>> List(const Credentials& creds) override {
-    return InDomain([&]() -> Result<std::vector<BindingInfo>> {
-      ASSIGN_OR_RETURN(std::vector<BindingInfo> all, under_->List(creds));
-      std::vector<BindingInfo> visible;
-      for (auto& entry : all) {
-        if (!XattrLayer::IsShadowName(entry.name)) {
-          visible.push_back(std::move(entry));
-        }
-      }
-      return visible;
-    });
-  }
-  Result<sp<Context>> CreateContext(const Name& name,
-                                    const Credentials& creds) override {
-    return InDomain([&]() -> Result<sp<Context>> {
-      ASSIGN_OR_RETURN(sp<Context> ctx, under_->CreateContext(name, creds));
-      return sp<Context>(std::make_shared<XattrDirContext>(
-          domain(), layer_, std::move(ctx), prefix_.Join(name)));
-    });
-  }
-
- private:
-  sp<XattrLayer> layer_;
-  sp<Context> under_;
-  Name prefix_;
-};
-
 sp<XattrLayer> XattrLayer::Create(sp<Domain> domain, Clock* clock) {
   return sp<XattrLayer>(new XattrLayer(std::move(domain), clock));
 }
@@ -234,9 +174,7 @@ Result<sp<File>> XattrLayer::WrapFile(const Name& name,
   auto state = std::make_shared<FileState>();
   state->under = under;
   state->name = name;
-  sp<XattrLayer> self =
-      std::dynamic_pointer_cast<XattrLayer>(shared_from_this());
-  sp<File> wrapped = std::make_shared<XattrFileImpl>(domain(), self, state);
+  sp<File> wrapped = std::make_shared<XattrFileImpl>(domain(), Self(), state);
   wrapped_files_.emplace(key, wrapped);
   return wrapped;
 }
@@ -247,11 +185,8 @@ Result<sp<Object>> XattrLayer::WrapResolved(const Name& name,
     ASSIGN_OR_RETURN(sp<File> wrapped, WrapFile(name, file));
     return sp<Object>(wrapped);
   }
-  if (sp<Context> ctx = narrow<Context>(object)) {
-    sp<XattrLayer> self =
-        std::dynamic_pointer_cast<XattrLayer>(shared_from_this());
-    return sp<Object>(
-        std::make_shared<XattrDirContext>(domain(), self, ctx, name));
+  if (narrow<Context>(object)) {
+    return sp<Object>(MakePrefixContext(Self(), name));
   }
   return object;
 }
@@ -411,12 +346,14 @@ Status XattrLayer::Unbind(const Name& name, const Credentials& creds) {
   });
 }
 
-Result<std::vector<BindingInfo>> XattrLayer::List(const Credentials& creds) {
+Result<std::vector<BindingInfo>> XattrLayer::ListAt(const Name& prefix,
+                                                    const Credentials& creds) {
   return InDomain([&]() -> Result<std::vector<BindingInfo>> {
     if (!under_) {
       return ErrInvalidArgument("xattrfs not stacked");
     }
-    ASSIGN_OR_RETURN(std::vector<BindingInfo> all, under_->List(creds));
+    ASSIGN_OR_RETURN(std::vector<BindingInfo> all,
+                     ListBelow(*under_, prefix, creds));
     std::vector<BindingInfo> visible;
     for (auto& entry : all) {
       if (!IsShadowName(entry.name)) {
@@ -427,18 +364,18 @@ Result<std::vector<BindingInfo>> XattrLayer::List(const Credentials& creds) {
   });
 }
 
+Result<std::vector<BindingInfo>> XattrLayer::List(const Credentials& creds) {
+  return ListAt(Name(), creds);
+}
+
 Result<sp<Context>> XattrLayer::CreateContext(const Name& name,
                                               const Credentials& creds) {
   return InDomain([&]() -> Result<sp<Context>> {
     if (!under_) {
       return ErrInvalidArgument("xattrfs not stacked");
     }
-    ASSIGN_OR_RETURN(sp<Context> ctx, under_->CreateContext(name, creds));
-    sp<XattrLayer> self =
-        std::dynamic_pointer_cast<XattrLayer>(shared_from_this());
-    return sp<Context>(
-        std::make_shared<XattrDirContext>(domain(), self, std::move(ctx),
-                                          name));
+    RETURN_IF_ERROR(under_->CreateContext(name, creds).status());
+    return MakePrefixContext(Self(), name);
   });
 }
 

@@ -41,6 +41,10 @@ class XattrLayer : public StackableFs,
   Result<std::vector<BindingInfo>> List(const Credentials& creds) override;
   Result<sp<Context>> CreateContext(const Name& name,
                                     const Credentials& creds) override;
+  // List of the directory at layer-relative `prefix`, .xattr shadows hidden
+  // (PrefixContext::List).
+  Result<std::vector<BindingInfo>> ListAt(const Name& prefix,
+                                          const Credentials& creds);
 
   // --- StackableFs ---
   Status StackOn(sp<StackableFs> underlying) override;
@@ -57,7 +61,6 @@ class XattrLayer : public StackableFs,
 
  private:
   friend class XattrFileImpl;
-  friend class XattrDirContext;
 
   XattrLayer(sp<Domain> domain, Clock* clock);
 
@@ -84,6 +87,12 @@ class XattrLayer : public StackableFs,
   static bool IsShadowName(const std::string& component);
   static Name ShadowNameFor(const Name& name);
 
+  sp<XattrLayer> Self() {
+    return std::dynamic_pointer_cast<XattrLayer>(shared_from_this());
+  }
+
+  // Wraps what `name` resolved to below: a file in an XattrFile, a
+  // directory in a PrefixContext.
   Result<sp<Object>> WrapResolved(const Name& name, sp<Object> object);
   Result<sp<File>> WrapFile(const Name& name, const sp<File>& under);
 

@@ -57,7 +57,7 @@ class [[nodiscard]] Status {
   const std::string& message() const { return message_; }
 
   // Renders "kNotFound: no such binding 'x'" style text.
-  std::string ToString() const;
+  [[nodiscard]] std::string ToString() const;
 
   bool operator==(const Status& other) const { return code_ == other.code_; }
 

@@ -13,6 +13,7 @@
 #include "src/layers/dfs/dfs_server.h"
 #include "src/layers/sfs/sfs.h"
 #include "src/support/rng.h"
+#include "tests/subdir_conformance.h"
 
 namespace springfs {
 namespace {
@@ -774,6 +775,56 @@ TEST_F(CfsTest, AttrInvalidationCallback) {
   EXPECT_GE(metrics::StatValue(*cfs_, "attr_invalidations"), 1u);
   // CFS refetches: the new size is visible.
   EXPECT_EQ(file->Stat()->size, 100u);
+}
+
+TEST_F(CfsTest, SubdirStatsStayCached) {
+  ASSERT_TRUE(client_->CreateContext(*Name::Parse("d"), sys_).ok());
+  ASSERT_TRUE(client_->CreateFile(*Name::Parse("d/hot"), sys_).ok());
+  sp<Context> dir = *ResolveAs<Context>(cfs_, "d", sys_);
+  sp<File> file = *ResolveAs<File>(dir, "hot", sys_);
+  ASSERT_TRUE(file->Stat().ok());  // first touch
+  uint64_t calls_before = metrics::StatValue(*client_, "calls_sent");
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(file->Stat().ok());
+  }
+  EXPECT_EQ(metrics::StatValue(*client_, "calls_sent"), calls_before)
+      << "a file resolved through a CFS sub-directory must keep the cache";
+}
+
+// The sub-directory conformance checks (tests/subdir_conformance.h) over
+// the plain DFS client and over CFS; files are created through the client.
+class RemoteSubdirTest : public CfsTest {
+ protected:
+  subdir_conformance::CreateFn Create() {
+    return [client = client_, sys = sys_](const Name& name) {
+      return client->CreateFile(name, sys);
+    };
+  }
+};
+
+TEST_F(RemoteSubdirTest, DfsClientResolveMatchesRoot) {
+  subdir_conformance::ExpectResolveMatchesRoot(client_, Create());
+}
+TEST_F(RemoteSubdirTest, DfsClientListMatchesRoot) {
+  subdir_conformance::ExpectListMatchesRoot(client_, Create());
+}
+TEST_F(RemoteSubdirTest, DfsClientUnbindRecreateMatchesRoot) {
+  subdir_conformance::ExpectUnbindRecreateMatchesRoot(client_, Create());
+}
+TEST_F(RemoteSubdirTest, DfsClientBindMatchesRoot) {
+  subdir_conformance::ExpectBindMatchesRoot(client_, Create());
+}
+TEST_F(RemoteSubdirTest, CfsResolveMatchesRoot) {
+  subdir_conformance::ExpectResolveMatchesRoot(cfs_, Create());
+}
+TEST_F(RemoteSubdirTest, CfsListMatchesRoot) {
+  subdir_conformance::ExpectListMatchesRoot(cfs_, Create());
+}
+TEST_F(RemoteSubdirTest, CfsUnbindRecreateMatchesRoot) {
+  subdir_conformance::ExpectUnbindRecreateMatchesRoot(cfs_, Create());
+}
+TEST_F(RemoteSubdirTest, CfsBindMatchesRoot) {
+  subdir_conformance::ExpectBindMatchesRoot(cfs_, Create());
 }
 
 }  // namespace

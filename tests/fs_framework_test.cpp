@@ -1,12 +1,19 @@
 // Tests for the file-system framework: the channel table (bind exchange,
 // idempotence, fs_cache narrowing), the fs_cache/fs_pager attribute types,
-// and the MemFile reference pager through the plain File interface.
+// the MemFile reference pager through the plain File interface, and the
+// sub-directory naming conformance of every local stack.
 
 #include <gtest/gtest.h>
 
 #include "src/fs/channel_table.h"
 #include "src/fs/mem_file.h"
+#include "src/layers/compfs/comp_layer.h"
+#include "src/layers/cryptfs/crypt_layer.h"
+#include "src/layers/mirrorfs/mirror_layer.h"
+#include "src/layers/sfs/sfs.h"
+#include "src/layers/xattrfs/xattr_layer.h"
 #include "src/vmm/vmm.h"
+#include "tests/subdir_conformance.h"
 
 namespace springfs {
 namespace {
@@ -273,6 +280,128 @@ TEST_F(MemFileTest, SetTimes) {
   EXPECT_EQ(attrs->atime_ns, 77u);
   EXPECT_EQ(attrs->mtime_ns, 88u);
 }
+
+// --- Sub-directory conformance over the local stacks ---
+
+enum class LocalStack {
+  kDisk,
+  kSfsOneDomain,
+  kSfsTwoDomains,
+  kCryptfs,
+  kCompfsFig5,
+  kCompfsFig6,
+  kXattrfs,
+  kMirrorfs,
+};
+
+std::string LocalStackName(const ::testing::TestParamInfo<LocalStack>& info) {
+  switch (info.param) {
+    case LocalStack::kDisk:
+      return "Disk";
+    case LocalStack::kSfsOneDomain:
+      return "SfsOneDomain";
+    case LocalStack::kSfsTwoDomains:
+      return "SfsTwoDomains";
+    case LocalStack::kCryptfs:
+      return "Cryptfs";
+    case LocalStack::kCompfsFig5:
+      return "CompfsFig5";
+    case LocalStack::kCompfsFig6:
+      return "CompfsFig6";
+    case LocalStack::kXattrfs:
+      return "Xattrfs";
+    case LocalStack::kMirrorfs:
+      return "Mirrorfs";
+  }
+  return "Unknown";
+}
+
+class SubdirConformanceTest : public ::testing::TestWithParam<LocalStack> {
+ protected:
+  void SetUp() override {
+    LocalStack kind = GetParam();
+    SfsOptions options;
+    switch (kind) {
+      case LocalStack::kDisk:
+        options.placement = SfsPlacement::kNotStacked;
+        break;
+      case LocalStack::kSfsTwoDomains:
+        options.placement = SfsPlacement::kTwoDomains;
+        break;
+      default:
+        break;
+    }
+    int replicas = kind == LocalStack::kMirrorfs ? 2 : 1;
+    for (int i = 0; i < replicas; ++i) {
+      devices_.push_back(
+          std::make_unique<MemBlockDevice>(ufs::kBlockSize, 4096));
+      sfs_.push_back(*CreateSfs(devices_.back().get(), options, &clock_));
+    }
+    sp<StackableFs> top;
+    switch (kind) {
+      case LocalStack::kCryptfs:
+        top = CryptLayer::Create(Domain::Create("cryptfs"), "key", {},
+                                 &clock_);
+        break;
+      case LocalStack::kCompfsFig5:
+      case LocalStack::kCompfsFig6: {
+        CompLayerOptions comp;
+        comp.coherent_lower = kind == LocalStack::kCompfsFig6;
+        top = CompLayer::Create(Domain::Create("compfs"), comp, &clock_);
+        break;
+      }
+      case LocalStack::kXattrfs:
+        top = XattrLayer::Create(Domain::Create("xattrfs"), &clock_);
+        break;
+      case LocalStack::kMirrorfs:
+        top = MirrorLayer::Create(Domain::Create("mirrorfs"), &clock_);
+        break;
+      default:
+        root_ = sfs_[0].root;
+        return;
+    }
+    for (const Sfs& sfs : sfs_) {
+      ASSERT_TRUE(top->StackOn(sfs.root).ok());
+    }
+    root_ = top;
+  }
+
+  subdir_conformance::CreateFn Create() {
+    return [root = root_, sys = sys_](const Name& name) {
+      return root->CreateFile(name, sys);
+    };
+  }
+
+  Credentials sys_ = Credentials::System();
+  FakeClock clock_;
+  std::vector<std::unique_ptr<MemBlockDevice>> devices_;
+  std::vector<Sfs> sfs_;
+  sp<StackableFs> root_;
+};
+
+TEST_P(SubdirConformanceTest, ResolveMatchesRoot) {
+  subdir_conformance::ExpectResolveMatchesRoot(root_, Create());
+}
+
+TEST_P(SubdirConformanceTest, ListMatchesRoot) {
+  subdir_conformance::ExpectListMatchesRoot(root_, Create());
+}
+
+TEST_P(SubdirConformanceTest, UnbindRecreateMatchesRoot) {
+  subdir_conformance::ExpectUnbindRecreateMatchesRoot(root_, Create());
+}
+
+TEST_P(SubdirConformanceTest, BindMatchesRoot) {
+  subdir_conformance::ExpectBindMatchesRoot(root_, Create());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LocalStacks, SubdirConformanceTest,
+    ::testing::Values(LocalStack::kDisk, LocalStack::kSfsOneDomain,
+                      LocalStack::kSfsTwoDomains, LocalStack::kCryptfs,
+                      LocalStack::kCompfsFig5, LocalStack::kCompfsFig6,
+                      LocalStack::kXattrfs, LocalStack::kMirrorfs),
+    LocalStackName);
 
 }  // namespace
 }  // namespace springfs

@@ -5,6 +5,7 @@
 
 #include "src/blockdev/decorators.h"
 #include "src/layers/mirrorfs/mirror_layer.h"
+#include "src/layers/monofs/fused_sfs.h"
 #include "src/layers/monofs/mono_fs.h"
 #include "src/layers/sfs/sfs.h"
 #include "src/support/rng.h"
@@ -275,6 +276,22 @@ TEST_F(MonoFsTest, RemoveInvalidatesCaches) {
 
 TEST_F(MonoFsTest, OpenMissingFails) {
   EXPECT_EQ(fs_->Open("nothing").status().code(), ErrorCode::kNotFound);
+}
+
+// The fused baseline (Table 2's "not stacked" column) offers mkdir; the
+// context it returns is rooted at the new directory, not at the root.
+TEST(FusedSfsTest, CreatedContextIsRootedAtTheDirectory) {
+  FakeClock clock;
+  MemBlockDevice device(ufs::kBlockSize, 4096);
+  sp<FusedSfs> fs = *FusedSfs::Format(Domain::Create("fused"), &device, &clock);
+  Credentials sys = Credentials::System();
+  Result<sp<Context>> dir = fs->CreateContext(*Name::Parse("d"), sys);
+  ASSERT_TRUE(dir.ok());
+  ASSERT_TRUE(fs->CreateFile(*Name::Parse("f"), sys).ok());
+  ASSERT_TRUE(fs->CreateFile(*Name::Parse("d/g"), sys).ok());
+  EXPECT_TRUE(ResolveAs<File>(*dir, "g", sys).ok());
+  EXPECT_EQ((*dir)->Resolve(*Name::Parse("f"), sys).code(),
+            ErrorCode::kNotFound);
 }
 
 }  // namespace
