@@ -123,6 +123,7 @@ int main() {
   // --- the coherence difference itself ---
   std::printf("\ncoherence demonstration (direct write to the underlying "
               "file):\n");
+  uint64_t invalidations[2] = {0, 0};  // [coherent]
   for (bool coherent : {false, true}) {
     Setup s = MakeSetup(coherent);
     sp<File> file = s.compfs->CreateFile(*Name::Parse("c"), creds).take_value();
@@ -137,10 +138,23 @@ int main() {
     sp<File> under = ResolveAs<File>(s.sfs.root, "c", creds).take_value();
     Buffer junk(std::string("direct underlying write"));
     under->Write(0, junk.span()).take_value();
+    invalidations[coherent] =
+        metrics::StatValue(*s.compfs, "lower_invalidations");
     std::printf("  %s: %llu lower-layer invalidation callbacks\n",
                 coherent ? "Fig.6 (coherent)    " : "Fig.5 (non-coherent)",
-                static_cast<unsigned long long>(
-                    metrics::StatValue(*s.compfs, "lower_invalidations")));
+                static_cast<unsigned long long>(invalidations[coherent]));
   }
-  return 0;
+
+  bool ok = true;
+  auto check = [&](bool cond, const char* what) {
+    if (!cond) {
+      std::fprintf(stderr, "FAIL: %s\n", what);
+      ok = false;
+    }
+  };
+  check(invalidations[false] == 0,
+        "Fig.5: a direct underlying write reaches no COMPFS cache");
+  check(invalidations[true] >= 1,
+        "Fig.6: a direct underlying write invalidates COMPFS's cache");
+  return ok ? 0 : 1;
 }

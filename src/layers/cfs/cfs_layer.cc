@@ -2,23 +2,10 @@
 
 #include <algorithm>
 
-#include "src/fs/channel_table.h"
 #include "src/fs/prefix_context.h"
 #include "src/support/logging.h"
 
 namespace springfs {
-namespace {
-
-class CfsCacheRights : public CacheRights {
- public:
-  explicit CfsCacheRights(uint64_t id) : id_(id) {}
-  uint64_t channel_id() const override { return id_; }
-
- private:
-  uint64_t id_;
-};
-
-}  // namespace
 
 // CFS's cache object toward the remote file. CFS caches no data (the VMM
 // does, through its own channel), so data callbacks return nothing; the
@@ -44,7 +31,19 @@ class CfsCacheObject : public FsCacheObject, public Servant {
   Status Populate(Offset, AccessRights, ByteSpan) override {
     return Status::Ok();
   }
-  Status DestroyCache() override { return Status::Ok(); }
+  // The channel is gone (server restart, eviction): no invalidation will
+  // reach the cached attributes any more, and the mapping's VMM channel
+  // went with it. Drop all three; the next read or write binds afresh.
+  Status DestroyCache() override {
+    return InDomain([&]() -> Status {
+      std::lock_guard<std::recursive_mutex> lock(state_->mutex);
+      state_->lower->Drop();
+      state_->attrs_valid = false;
+      state_->attrs_dirty = false;
+      state_->region = nullptr;
+      return Status::Ok();
+    });
+  }
 
   Status InvalidateAttributes() override {
     return InDomain([&]() -> Status {
@@ -228,42 +227,9 @@ Result<sp<Object>> CfsLayer::WrapResolved(const Name& name,
 }
 
 Status CfsLayer::EnsureBoundRemote(const sp<FileState>& state) {
-  std::lock_guard<std::mutex> bind_lock(bind_mutex_);
-  {
-    std::lock_guard<std::recursive_mutex> lock(state->mutex);
-    if (state->bound_remote) {
-      return Status::Ok();
-    }
-  }
-  binding_state_ = state;
-  sp<CfsLayer> self = Self();
-  Result<sp<CacheRights>> rights =
-      state->remote->Bind(self, AccessRights::kReadWrite);
-  binding_state_ = nullptr;
-  if (!rights.ok()) {
-    return rights.status();
-  }
-  std::lock_guard<std::recursive_mutex> lock(state->mutex);
-  state->bound_remote = true;
-  return Status::Ok();
-}
-
-Result<CacheManager::ChannelSetup> CfsLayer::EstablishChannel(
-    uint64_t pager_key, sp<PagerObject> pager) {
-  (void)pager_key;
-  sp<FileState> state = binding_state_;
-  if (!state) {
-    return ErrInvalidArgument("unexpected channel establishment");
-  }
-  sp<CfsLayer> self = Self();
-  {
-    std::lock_guard<std::recursive_mutex> lock(state->mutex);
-    state->remote_fs_pager = narrow<FsPagerObject>(pager);
-  }
-  ChannelSetup setup;
-  setup.cache = std::make_shared<CfsCacheObject>(domain(), self, state);
-  setup.rights = std::make_shared<CfsCacheRights>(NewPagerKey());
-  return setup;
+  return state->lower->Ensure(*state->remote, [&] {
+    return std::make_shared<CfsCacheObject>(domain(), Self(), state);
+  });
 }
 
 Status CfsLayer::EnsureAttrs(FileState& state) {
@@ -276,8 +242,8 @@ Status CfsLayer::EnsureAttrs(FileState& state) {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.attr_cache_misses;
   }
-  if (state.remote_fs_pager) {
-    ASSIGN_OR_RETURN(state.attrs, state.remote_fs_pager->GetAttributes());
+  if (sp<FsPagerObject> fs_pager = state.lower->fs_pager()) {
+    ASSIGN_OR_RETURN(state.attrs, fs_pager->GetAttributes());
   } else {
     ASSIGN_OR_RETURN(state.attrs, state.remote->Stat());
   }
@@ -303,8 +269,8 @@ Status CfsLayer::PushAttrs(FileState& state) {
   update.size = state.attrs.size;
   update.atime_ns = state.attrs.atime_ns;
   update.mtime_ns = state.attrs.mtime_ns;
-  if (state.remote_fs_pager) {
-    RETURN_IF_ERROR(state.remote_fs_pager->WriteAttributes(update));
+  if (sp<FsPagerObject> fs_pager = state.lower->fs_pager()) {
+    RETURN_IF_ERROR(fs_pager->WriteAttributes(update));
   } else {
     RETURN_IF_ERROR(state.remote->SetLength(state.attrs.size));
     RETURN_IF_ERROR(state.remote->SetTimes(state.attrs.atime_ns,

@@ -24,15 +24,15 @@
 
 #include <map>
 
-#include "src/fs/fs_objects.h"
+#include "src/fs/lower_channel.h"
 #include "src/naming/context.h"
 #include "src/obs/metrics.h"
 #include "src/vmm/vmm.h"
 
 namespace springfs {
 
-class CfsLayer : public Context, public Fs, public CacheManager,
-                 public Servant, public metrics::StatsProvider {
+class CfsLayer : public Context, public Fs, public Servant,
+                 public metrics::StatsProvider {
  public:
   // `remote` is the context whose files are interposed on (typically a
   // DfsClient mount); `vmm` is the local node's VMM used for data caching.
@@ -59,11 +59,6 @@ class CfsLayer : public Context, public Fs, public CacheManager,
   Result<FsInfo> GetFsInfo() override;
   Status SyncFs() override;
 
-  // --- CacheManager (toward the remote file) ---
-  Result<ChannelSetup> EstablishChannel(uint64_t pager_key,
-                                        sp<PagerObject> pager) override;
-  std::string cache_manager_name() const override { return "cfs"; }
-
   // --- StatsProvider ---
   std::string stats_prefix() const override { return "layer/cfs"; }
   void CollectStats(const metrics::StatsEmitter& emit) const override;
@@ -85,8 +80,9 @@ class CfsLayer : public Context, public Fs, public CacheManager,
 
   struct FileState {
     sp<File> remote;
-    bool bound_remote = false;
-    sp<FsPagerObject> remote_fs_pager;  // attribute channel to the server
+    // Our channel to `remote`, as its cache manager: the attribute channel
+    // to the server.
+    sp<LowerChannel> lower = std::make_shared<LowerChannel>("cfs");
     FileAttributes attrs;
     bool attrs_valid = false;
     bool attrs_dirty = false;
@@ -118,9 +114,6 @@ class CfsLayer : public Context, public Fs, public CacheManager,
 
   std::mutex mutex_;
   std::map<Object*, sp<FileState>> states_;
-
-  std::mutex bind_mutex_;
-  sp<FileState> binding_state_;
 
   mutable std::mutex stats_mutex_;
   Stats stats_;

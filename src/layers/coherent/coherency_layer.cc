@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/fs/layer_pager.h"
 #include "src/fs/prefix_context.h"
 #include "src/obs/trace.h"
 #include "src/support/logging.h"
@@ -28,17 +29,6 @@ metrics::OpMetric& WriteMetric() {
   static metrics::OpMetric metric("layer/coherent/write");
   return metric;
 }
-
-// Rights object the coherency layer (as a cache manager) hands to the layer
-// below during the bind exchange.
-class LayerCacheRights : public CacheRights {
- public:
-  explicit LayerCacheRights(uint64_t id) : id_(id) {}
-  uint64_t channel_id() const override { return id_; }
-
- private:
-  uint64_t id_;
-};
 
 }  // namespace
 
@@ -123,9 +113,7 @@ class CoherencyLowerCacheObject : public FsCacheObject, public Servant {
     return InDomain([&]() -> Status {
       std::lock_guard<std::mutex> lock(state_->mutex);
       state_->blocks.clear();
-      state_->bound_below = false;
-      state_->lower_pager = nullptr;
-      state_->lower_fs_pager = nullptr;
+      state_->lower->Drop();
       return Status::Ok();
     });
   }
@@ -155,63 +143,6 @@ class CoherencyLowerCacheObject : public FsCacheObject, public Servant {
   sp<CoherencyLayer::FileState> state_;
 };
 
-// The layer's pager object toward one client cache manager.
-class CoherentPagerObject : public FsPagerObject, public Servant {
- public:
-  CoherentPagerObject(sp<Domain> domain, sp<CoherencyLayer> layer,
-                      sp<CoherencyLayer::FileState> state, uint64_t channel)
-      : Servant(std::move(domain)), layer_(std::move(layer)),
-        state_(std::move(state)), channel_(channel) {}
-
-  Result<Buffer> PageIn(Offset offset, Offset size,
-                        AccessRights access) override {
-    return InDomain([&] {
-      return layer_->ClientPageIn(*state_, channel_, offset, size, access);
-    });
-  }
-  Status PageOut(Offset offset, ByteSpan data) override {
-    return InDomain([&] {
-      return layer_->ClientPageWrite(*state_, channel_, offset, data,
-                                     /*drops=*/true, /*downgrades=*/false,
-                                     /*push_below=*/false);
-    });
-  }
-  Status WriteOut(Offset offset, ByteSpan data) override {
-    return InDomain([&] {
-      return layer_->ClientPageWrite(*state_, channel_, offset, data,
-                                     /*drops=*/false, /*downgrades=*/true,
-                                     /*push_below=*/false);
-    });
-  }
-  Status Sync(Offset offset, ByteSpan data) override {
-    return InDomain([&] {
-      return layer_->ClientPageWrite(*state_, channel_, offset, data,
-                                     /*drops=*/false, /*downgrades=*/false,
-                                     /*push_below=*/true);
-    });
-  }
-  void DoneWithPagerObject() override {
-    InDomain([&] {
-      std::lock_guard<std::mutex> lock(state_->mutex);
-      state_->engine.RemoveCache(channel_);
-      layer_->client_channels_.RemoveChannel(channel_);
-    });
-  }
-
-  Result<FileAttributes> GetAttributes() override {
-    return InDomain([&] { return layer_->ClientGetAttributes(*state_); });
-  }
-  Status WriteAttributes(const AttrUpdate& update) override {
-    return InDomain(
-        [&] { return layer_->ClientWriteAttributes(*state_, channel_, update); });
-  }
-
- private:
-  sp<CoherencyLayer> layer_;
-  sp<CoherencyLayer::FileState> state_;
-  uint64_t channel_;
-};
-
 // A file exported by the coherency layer.
 class CoherentFile : public File, public Servant {
  public:
@@ -229,24 +160,7 @@ class CoherentFile : public File, public Servant {
     (void)requested_access;
     return InDomain([&]() -> Result<sp<CacheRights>> {
       RETURN_IF_ERROR(layer_->EnsureBoundBelow(state_));
-      sp<CoherencyLayer> layer = layer_;
-      sp<CoherencyLayer::FileState> state = state_;
-      ASSIGN_OR_RETURN(
-          sp<CacheRights> rights,
-          layer_->client_channels_.Bind(
-              state_->file_id, state_->pager_key, caller,
-              [&](uint64_t local_id) -> sp<PagerObject> {
-                return std::make_shared<CoherentPagerObject>(
-                    layer->domain(), layer, state, local_id);
-              }));
-      std::lock_guard<std::mutex> lock(state_->mutex);
-      for (const auto& ch :
-           layer_->client_channels_.ChannelsForFile(state_->file_id)) {
-        if (!state_->engine.HasCache(ch.local_id)) {
-          state_->engine.AddCache(ch.local_id, ch.cache);
-        }
-      }
-      return rights;
+      return LayerPager<CoherencyLayer>::BindClient(layer_, state_, caller);
     });
   }
 
@@ -513,52 +427,9 @@ sp<Object> CoherencyLayer::UnwrapForBind(sp<Object> object) {
 }
 
 Status CoherencyLayer::EnsureBoundBelow(const sp<FileState>& state) {
-  std::lock_guard<std::mutex> bind_lock(bind_mutex_);
-  {
-    std::lock_guard<std::mutex> lock(state->mutex);
-    if (state->bound_below) {
-      return Status::Ok();
-    }
-  }
-  binding_state_ = state;
-  sp<CoherencyLayer> self = Self();
-  Result<sp<CacheRights>> rights =
-      state->under->Bind(self, AccessRights::kReadWrite);
-  binding_state_ = nullptr;
-  if (!rights.ok()) {
-    return rights.status();
-  }
-  std::lock_guard<std::mutex> lock(state->mutex);
-  if (!state->lower_pager) {
-    return ErrInvalidArgument(
-        "underlying layer did not establish a pager channel");
-  }
-  state->bound_below = true;
-  return Status::Ok();
-}
-
-Result<CacheManager::ChannelSetup> CoherencyLayer::EstablishChannel(
-    uint64_t pager_key, sp<PagerObject> pager) {
-  (void)pager_key;
-  // Called by the layer below, from within our EnsureBoundBelow (the bind
-  // exchange happens on the same call path, so binding_state_ names the
-  // file being bound).
-  sp<FileState> state = binding_state_;
-  if (!state) {
-    return ErrInvalidArgument(
-        "unexpected channel establishment (no bind in progress)");
-  }
-  sp<CoherencyLayer> self = Self();
-  {
-    std::lock_guard<std::mutex> lock(state->mutex);
-    state->lower_pager = pager;
-    state->lower_fs_pager = narrow<FsPagerObject>(pager);
-  }
-  ChannelSetup setup;
-  setup.cache =
-      std::make_shared<CoherencyLowerCacheObject>(domain(), self, state);
-  setup.rights = std::make_shared<LayerCacheRights>(state->file_id);
-  return setup;
+  return state->lower->Ensure(*state->under, [&] {
+    return std::make_shared<CoherencyLowerCacheObject>(domain(), Self(), state);
+  });
 }
 
 Status CoherencyLayer::EnsureAttrs(FileState& state) {
@@ -573,8 +444,8 @@ Status CoherencyLayer::EnsureAttrs(FileState& state) {
   }
   // Prefer the fs_pager attribute path when the layer below is a file
   // system; fall back to the file interface.
-  if (state.lower_fs_pager) {
-    ASSIGN_OR_RETURN(state.attrs, state.lower_fs_pager->GetAttributes());
+  if (sp<FsPagerObject> fs_pager = state.lower->fs_pager()) {
+    ASSIGN_OR_RETURN(state.attrs, fs_pager->GetAttributes());
   } else {
     ASSIGN_OR_RETURN(state.attrs, state.under->Stat());
   }
@@ -586,12 +457,13 @@ Status CoherencyLayer::EnsureAttrs(FileState& state) {
 Result<Buffer> CoherencyLayer::FetchFromBelow(FileState& state, Offset begin,
                                               Offset len,
                                               AccessRights access) {
+  ASSIGN_OR_RETURN(sp<PagerObject> pager, state.lower->pager());
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.lower_page_ins;
   }
   trace::ScopedSpan span("coh.lower_page_in");
-  ASSIGN_OR_RETURN(Buffer raw, state.lower_pager->PageIn(begin, len, access));
+  ASSIGN_OR_RETURN(Buffer raw, pager->PageIn(begin, len, access));
   if (raw.size() < len) {
     raw.resize(len);
   }
@@ -613,6 +485,7 @@ Status CoherencyLayer::PushToBelow(FileState& state, Offset offset,
   if (offset % kPageSize != 0 || data.size() % kPageSize != 0) {
     return ErrInvalidArgument("push to below must be page-aligned");
   }
+  ASSIGN_OR_RETURN(sp<PagerObject> pager, state.lower->pager());
   Buffer encoded(data.size());
   for (Offset off = 0; off < data.size(); off += kPageSize) {
     ASSIGN_OR_RETURN(Buffer page,
@@ -628,12 +501,11 @@ Status CoherencyLayer::PushToBelow(FileState& state, Offset offset,
     ++stats_.lower_page_outs;
   }
   trace::ScopedSpan span("coh.lower_page_out");
-  return state.lower_pager->Sync(offset, encoded.span());
+  return pager->Sync(offset, encoded.span());
 }
 
 Status CoherencyLayer::EnsureBlocks(FileState& state, Offset begin, Offset end,
                                     AccessRights access) {
-  RETURN_IF_ERROR(EnsureBoundBelowLocked(state));
   // Collect contiguous runs of pages that need fetching from below.
   Offset run_start = 0;
   Offset run_len = 0;
@@ -682,17 +554,6 @@ Status CoherencyLayer::EnsureBlocks(FileState& state, Offset begin, Offset end,
     run_len += kPageSize;
   }
   return flush_run();
-}
-
-Status CoherencyLayer::EnsureBoundBelowLocked(FileState& state) {
-  // state.mutex is held: binding from here would invert the bind_mutex_ /
-  // state.mutex order, so every entry point (CoherentFile data paths,
-  // CoherentFile::Bind before client channels exist) binds first via
-  // EnsureBoundBelow. This is an internal invariant check, not a user error.
-  if (state.bound_below) {
-    return Status::Ok();
-  }
-  return ErrInvalidArgument("file not bound to the layer below");
 }
 
 Status CoherencyLayer::FoldRecoveredLocked(
@@ -798,8 +659,8 @@ Status CoherencyLayer::ClientPageWrite(FileState& state, uint64_t channel,
 
 Result<FileAttributes> CoherencyLayer::ClientGetAttributes(FileState& state) {
   if (!options_.cache_attrs) {
-    if (state.lower_fs_pager) {
-      return state.lower_fs_pager->GetAttributes();
+    if (sp<FsPagerObject> fs_pager = state.lower->fs_pager()) {
+      return fs_pager->GetAttributes();
     }
     return state.under->Stat();
   }
@@ -812,8 +673,8 @@ Status CoherencyLayer::ClientWriteAttributes(FileState& state,
                                              uint64_t channel,
                                              const AttrUpdate& update) {
   if (!options_.cache_attrs) {
-    if (state.lower_fs_pager) {
-      return state.lower_fs_pager->WriteAttributes(update);
+    if (sp<FsPagerObject> fs_pager = state.lower->fs_pager()) {
+      return fs_pager->WriteAttributes(update);
     }
     if (update.size) {
       RETURN_IF_ERROR(state.under->SetLength(*update.size));
@@ -915,7 +776,7 @@ Status CoherencyLayer::SyncFileState(FileState& state) {
                    state.engine.Acquire(0, Range::All(),
                                         AccessRights::kReadOnly));
   RETURN_IF_ERROR(FoldRecoveredLocked(state, recovered));
-  if (!state.bound_below) {
+  if (!state.lower->bound()) {
     return Status::Ok();  // nothing ever fetched or written
   }
   for (auto& [off, block] : state.blocks) {
@@ -930,8 +791,8 @@ Status CoherencyLayer::SyncFileState(FileState& state) {
     update.size = state.attrs.size;
     update.atime_ns = state.attrs.atime_ns;
     update.mtime_ns = state.attrs.mtime_ns;
-    if (state.lower_fs_pager) {
-      RETURN_IF_ERROR(state.lower_fs_pager->WriteAttributes(update));
+    if (sp<FsPagerObject> fs_pager = state.lower->fs_pager()) {
+      RETURN_IF_ERROR(fs_pager->WriteAttributes(update));
     } else {
       RETURN_IF_ERROR(state.under->SetLength(state.attrs.size));
       RETURN_IF_ERROR(state.under->SetTimes(state.attrs.atime_ns,

@@ -32,6 +32,7 @@
 #include "src/coherency/engine.h"
 #include "src/fs/channel_table.h"
 #include "src/fs/file.h"
+#include "src/fs/lower_channel.h"
 #include "src/obj/domain.h"
 #include "src/obs/metrics.h"
 #include "src/support/clock.h"
@@ -39,6 +40,8 @@
 namespace springfs {
 
 class CoherentFile;
+template <typename Layer>
+class LayerPager;
 
 struct CoherencyLayerOptions {
   bool cache_data = true;
@@ -50,7 +53,6 @@ struct CoherencyLayerOptions {
 };
 
 class CoherencyLayer : public StackableFs,
-                       public CacheManager,
                        public Servant,
                        public metrics::StatsProvider {
  public:
@@ -83,17 +85,15 @@ class CoherencyLayer : public StackableFs,
   Result<FsInfo> GetFsInfo() override;
   Status SyncFs() override;
 
-  // --- CacheManager (toward the layer below) ---
-  Result<ChannelSetup> EstablishChannel(uint64_t pager_key,
-                                        sp<PagerObject> pager) override;
-  std::string cache_manager_name() const override { return "coherency-layer"; }
-
   // --- StatsProvider ---
   std::string stats_prefix() const override { return "layer/" + type_name(); }
   void CollectStats(const metrics::StatsEmitter& emit) const override;
 
   // Zeroes the cache accounting (bench phase isolation).
   void ResetStats();
+
+  // Channels that cache managers above have bound to this layer's files.
+  size_t num_client_channels() const { return client_channels_.NumChannels(); }
 
  protected:
   CoherencyLayer(sp<Domain> domain, CoherencyLayerOptions options,
@@ -126,7 +126,7 @@ class CoherencyLayer : public StackableFs,
 
  private:
   friend class CoherentFile;
-  friend class CoherentPagerObject;
+  friend class LayerPager<CoherencyLayer>;
   friend class CoherencyLowerCacheObject;
 
   struct CachedBlock {
@@ -140,9 +140,8 @@ class CoherencyLayer : public StackableFs,
     sp<File> under;                 // the underlying layer's file object
     uint64_t file_id = 0;           // our identity for this file
     uint64_t pager_key = 0;         // key our clients' channels use
-    bool bound_below = false;
-    sp<PagerObject> lower_pager;       // from EstablishChannel
-    sp<FsPagerObject> lower_fs_pager;  // narrow of the above; may be null
+    // Our channel to `under`, as its cache manager.
+    sp<LowerChannel> lower = std::make_shared<LowerChannel>("coherency-layer");
     CoherencyEngine engine;            // MRSW across *client* caches
     std::map<Offset, CachedBlock> blocks;  // the layer's own data cache
     FileAttributes attrs;
@@ -162,13 +161,13 @@ class CoherencyLayer : public StackableFs,
   sp<Object> UnwrapForBind(sp<Object> object);
   sp<FileState> StateForFile(const sp<File>& under);
 
-  // Binds `state` to the underlying file (once), capturing the lower pager.
+  // Binds `state` to the underlying file unless already bound. Called
+  // before `state.mutex` is taken: the bind calls down the stack.
   Status EnsureBoundBelow(const sp<FileState>& state);
 
   // Data-path helpers; `state.mutex` must be held by the caller.
   Status EnsureBlocks(FileState& state, Offset begin, Offset end,
                       AccessRights access);
-  Status EnsureBoundBelowLocked(FileState& state);
   Status EnsureAttrs(FileState& state);
   // Fetches [begin, begin+len) from below and runs DecodeFromBelow on each
   // page; len must be page-aligned.
@@ -179,7 +178,7 @@ class CoherencyLayer : public StackableFs,
   Status FoldRecoveredLocked(FileState& state,
                              const std::vector<BlockData>& blocks);
 
-  // Client-pager entry points (from CoherentPagerObject).
+  // Client-pager entry points (from LayerPager).
   Result<Buffer> ClientPageIn(FileState& state, uint64_t channel,
                               Offset offset, Offset size, AccessRights access);
   Status ClientPageWrite(FileState& state, uint64_t channel, Offset offset,
@@ -210,11 +209,6 @@ class CoherencyLayer : public StackableFs,
   std::map<uint64_t, sp<FileState>> states_;  // by file_id
   uint64_t next_file_id_ = 1;
   PagerChannelTable client_channels_;
-
-  // Correlates EstablishChannel callbacks (from below, mid-bind) with the
-  // file being bound; guarded by bind_mutex_.
-  std::mutex bind_mutex_;
-  sp<FileState> binding_state_;
 
   // Cache accounting, guarded by stats_mutex_; published via CollectStats.
   struct Stats {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "src/fs/layer_pager.h"
 #include "src/fs/prefix_context.h"
 #include "src/support/logging.h"
 
@@ -44,15 +45,6 @@ uint64_t GetU64At(ByteSpan buf, size_t offset) {
   return v;
 }
 
-class CompCacheRights : public CacheRights {
- public:
-  explicit CompCacheRights(uint64_t id) : id_(id) {}
-  uint64_t channel_id() const override { return id_; }
-
- private:
-  uint64_t id_;
-};
-
 }  // namespace
 
 // --- servants ---------------------------------------------------------------
@@ -92,9 +84,7 @@ class CompLowerCacheObject : public CacheObject, public Servant {
   }
   Status DestroyCache() override {
     return InDomain([&]() -> Status {
-      std::lock_guard<std::mutex> lock(state_->mutex);
-      state_->bound_below = false;
-      state_->lower_pager = nullptr;
+      state_->lower->Drop();
       return Status::Ok();
     });
   }
@@ -102,82 +92,6 @@ class CompLowerCacheObject : public CacheObject, public Servant {
  private:
   sp<CompLayer> layer_;
   sp<CompLayer::FileState> state_;
-};
-
-// COMPFS's pager object toward one client cache manager.
-class CompPagerObject : public FsPagerObject, public Servant {
- public:
-  CompPagerObject(sp<Domain> domain, sp<CompLayer> layer,
-                  sp<CompLayer::FileState> state, uint64_t channel)
-      : Servant(std::move(domain)), layer_(std::move(layer)),
-        state_(std::move(state)), channel_(channel) {}
-
-  Result<Buffer> PageIn(Offset offset, Offset size,
-                        AccessRights access) override {
-    return InDomain([&] {
-      return layer_->ClientPageIn(*state_, channel_, offset, size, access);
-    });
-  }
-  Status PageOut(Offset offset, ByteSpan data) override {
-    return InDomain([&] {
-      return layer_->ClientPageWrite(*state_, channel_, offset, data, true,
-                                     false, false);
-    });
-  }
-  Status WriteOut(Offset offset, ByteSpan data) override {
-    return InDomain([&] {
-      return layer_->ClientPageWrite(*state_, channel_, offset, data, false,
-                                     true, false);
-    });
-  }
-  Status Sync(Offset offset, ByteSpan data) override {
-    return InDomain([&] {
-      return layer_->ClientPageWrite(*state_, channel_, offset, data, false,
-                                     false, true);
-    });
-  }
-  void DoneWithPagerObject() override {
-    InDomain([&] {
-      std::lock_guard<std::mutex> lock(state_->mutex);
-      state_->engine.RemoveCache(channel_);
-      layer_->client_channels_.RemoveChannel(channel_);
-    });
-  }
-
-  Result<FileAttributes> GetAttributes() override {
-    return InDomain([&]() -> Result<FileAttributes> {
-      std::lock_guard<std::mutex> lock(state_->mutex);
-      RETURN_IF_ERROR(layer_->LoadMeta(*state_));
-      FileAttributes attrs;
-      attrs.kind = FileKind::kRegular;
-      attrs.size = state_->logical_size;
-      attrs.atime_ns = state_->atime_ns;
-      attrs.mtime_ns = state_->mtime_ns;
-      return attrs;
-    });
-  }
-  Status WriteAttributes(const AttrUpdate& update) override {
-    return InDomain([&]() -> Status {
-      std::lock_guard<std::mutex> lock(state_->mutex);
-      RETURN_IF_ERROR(layer_->LoadMeta(*state_));
-      if (update.size) {
-        state_->logical_size = *update.size;
-      }
-      if (update.atime_ns) {
-        state_->atime_ns = *update.atime_ns;
-      }
-      if (update.mtime_ns) {
-        state_->mtime_ns = *update.mtime_ns;
-      }
-      state_->meta_dirty = true;
-      return Status::Ok();
-    });
-  }
-
- private:
-  sp<CompLayer> layer_;
-  sp<CompLayer::FileState> state_;
-  uint64_t channel_;
 };
 
 // A compressed file as seen by COMPFS clients (plaintext view).
@@ -196,25 +110,7 @@ class CompFile : public File, public Servant {
       if (layer_->options_.coherent_lower) {
         RETURN_IF_ERROR(layer_->EnsureBoundBelow(state_));
       }
-      sp<CompLayer> layer = layer_;
-      sp<CompLayer::FileState> state = state_;
-      ASSIGN_OR_RETURN(
-          sp<CacheRights> rights,
-          layer_->client_channels_.Bind(
-              state_->file_id, state_->pager_key, caller,
-              [&](uint64_t local_id) -> sp<PagerObject> {
-                return std::make_shared<CompPagerObject>(layer->domain(),
-                                                         layer, state,
-                                                         local_id);
-              }));
-      std::lock_guard<std::mutex> lock(state_->mutex);
-      for (const auto& ch :
-           layer_->client_channels_.ChannelsForFile(state_->file_id)) {
-        if (!state_->engine.HasCache(ch.local_id)) {
-          state_->engine.AddCache(ch.local_id, ch.cache);
-        }
-      }
-      return rights;
+      return LayerPager<CompLayer>::BindClient(layer_, state_, caller);
     });
   }
 
@@ -340,16 +236,7 @@ class CompFile : public File, public Servant {
   }
 
   Result<FileAttributes> Stat() override {
-    return InDomain([&]() -> Result<FileAttributes> {
-      std::lock_guard<std::mutex> lock(state_->mutex);
-      RETURN_IF_ERROR(layer_->LoadMeta(*state_));
-      FileAttributes attrs;
-      attrs.kind = FileKind::kRegular;
-      attrs.size = state_->logical_size;
-      attrs.atime_ns = state_->atime_ns;
-      attrs.mtime_ns = state_->mtime_ns;
-      return attrs;
-    });
+    return InDomain([&] { return layer_->ClientGetAttributes(*state_); });
   }
 
   Status SetTimes(uint64_t atime_ns, uint64_t mtime_ns) override {
@@ -633,26 +520,15 @@ Status CompLayer::SyncFs() {
 // --- binding below (Figure 6) ----------------------------------------------
 
 Status CompLayer::EnsureBoundBelow(const sp<FileState>& state) {
-  std::lock_guard<std::mutex> bind_lock(bind_mutex_);
-  {
-    std::lock_guard<std::mutex> lock(state->mutex);
-    if (state->bound_below) {
-      return Status::Ok();
-    }
-  }
-  binding_state_ = state;
-  sp<CompLayer> self = Self();
-  Result<sp<CacheRights>> rights =
-      state->under_data->Bind(self, AccessRights::kReadWrite);
-  binding_state_ = nullptr;
-  if (!rights.ok()) {
-    return rights.status();
+  bool fresh = false;
+  RETURN_IF_ERROR(state->lower->Ensure(*state->under_data, [&] {
+    fresh = true;
+    return std::make_shared<CompLowerCacheObject>(domain(), Self(), state);
+  }));
+  if (!fresh) {
+    return Status::Ok();
   }
   std::lock_guard<std::mutex> lock(state->mutex);
-  if (!state->lower_pager) {
-    return ErrInvalidArgument("lower layer did not establish a channel");
-  }
-  state->bound_below = true;
   // Everything cached so far was fetched through the (incoherent) file
   // interface, with no holdings registered at the layer below. Drop the
   // derived caches so future loads go through the pager channel and the
@@ -666,24 +542,6 @@ Status CompLayer::EnsureBoundBelow(const sp<FileState>& state) {
     state->meta_loaded = false;
   }
   return Status::Ok();
-}
-
-Result<CacheManager::ChannelSetup> CompLayer::EstablishChannel(
-    uint64_t pager_key, sp<PagerObject> pager) {
-  (void)pager_key;
-  sp<FileState> state = binding_state_;
-  if (!state) {
-    return ErrInvalidArgument("unexpected channel establishment");
-  }
-  sp<CompLayer> self = Self();
-  {
-    std::lock_guard<std::mutex> lock(state->mutex);
-    state->lower_pager = std::move(pager);
-  }
-  ChannelSetup setup;
-  setup.cache = std::make_shared<CompLowerCacheObject>(domain(), self, state);
-  setup.rights = std::make_shared<CompCacheRights>(state->file_id);
-  return setup;
 }
 
 Status CompLayer::LowerInvalidate(FileState& state) {
@@ -706,12 +564,11 @@ Status CompLayer::LowerInvalidate(FileState& state) {
 
 Result<size_t> CompLayer::LowerRead(FileState& state, Offset offset,
                                     MutableByteSpan out) {
-  if (state.bound_below) {
+  if (Result<sp<PagerObject>> pager = state.lower->pager(); pager.ok()) {
     Offset begin = PageFloor(offset);
     Offset end = PageCeil(offset + out.size());
-    ASSIGN_OR_RETURN(Buffer pages, state.lower_pager->PageIn(
-                                       begin, end - begin,
-                                       AccessRights::kReadOnly));
+    ASSIGN_OR_RETURN(Buffer pages, (*pager)->PageIn(begin, end - begin,
+                                                    AccessRights::kReadOnly));
     if (pages.size() < end - begin) {
       pages.resize(end - begin);
     }
@@ -721,7 +578,8 @@ Result<size_t> CompLayer::LowerRead(FileState& state, Offset offset,
 }
 
 Status CompLayer::LowerWrite(FileState& state, Offset offset, ByteSpan data) {
-  if (!state.bound_below) {
+  Result<sp<PagerObject>> pager = state.lower->pager();
+  if (!pager.ok()) {
     ASSIGN_OR_RETURN(size_t written, state.under_data->Write(offset, data));
     if (written != data.size()) {
       return ErrIoError("short write to underlying data file");
@@ -734,12 +592,11 @@ Status CompLayer::LowerWrite(FileState& state, Offset offset, ByteSpan data) {
   // writes to the underlying file flush us.
   Offset begin = PageFloor(offset);
   Offset end = PageCeil(offset + data.size());
-  ASSIGN_OR_RETURN(Buffer pages,
-                   state.lower_pager->PageIn(begin, end - begin,
-                                             AccessRights::kReadWrite));
+  ASSIGN_OR_RETURN(Buffer pages, (*pager)->PageIn(begin, end - begin,
+                                                  AccessRights::kReadWrite));
   pages.resize(end - begin);
   pages.WriteAt(offset - begin, data);
-  RETURN_IF_ERROR(state.lower_pager->Sync(begin, pages.span()));
+  RETURN_IF_ERROR((*pager)->Sync(begin, pages.span()));
   // Keep the underlying file's length in step with the chunk store.
   ASSIGN_OR_RETURN(Offset under_len, state.under_data->GetLength());
   if (offset + data.size() > under_len) {
@@ -1015,6 +872,34 @@ Status CompLayer::ClientPageWrite(FileState& state, uint64_t channel,
     state.engine.ReleaseDowngraded(channel, Range{offset, data.size()});
   }
   state.mtime_ns = clock_->Now();
+  state.meta_dirty = true;
+  return Status::Ok();
+}
+
+Result<FileAttributes> CompLayer::ClientGetAttributes(FileState& state) {
+  std::lock_guard<std::mutex> lock(state.mutex);
+  RETURN_IF_ERROR(LoadMeta(state));
+  FileAttributes attrs;
+  attrs.kind = FileKind::kRegular;
+  attrs.size = state.logical_size;
+  attrs.atime_ns = state.atime_ns;
+  attrs.mtime_ns = state.mtime_ns;
+  return attrs;
+}
+
+Status CompLayer::ClientWriteAttributes(FileState& state, uint64_t,
+                                        const AttrUpdate& update) {
+  std::lock_guard<std::mutex> lock(state.mutex);
+  RETURN_IF_ERROR(LoadMeta(state));
+  if (update.size) {
+    state.logical_size = *update.size;
+  }
+  if (update.atime_ns) {
+    state.atime_ns = *update.atime_ns;
+  }
+  if (update.mtime_ns) {
+    state.mtime_ns = *update.mtime_ns;
+  }
   state.meta_dirty = true;
   return Status::Ok();
 }

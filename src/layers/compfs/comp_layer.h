@@ -39,6 +39,7 @@
 #include "src/coherency/engine.h"
 #include "src/fs/channel_table.h"
 #include "src/fs/file.h"
+#include "src/fs/lower_channel.h"
 #include "src/obj/domain.h"
 #include "src/obs/metrics.h"
 #include "src/support/clock.h"
@@ -46,6 +47,8 @@
 namespace springfs {
 
 class CompFile;
+template <typename Layer>
+class LayerPager;
 
 struct CompLayerOptions {
   std::string codec = "lz77";
@@ -56,7 +59,6 @@ struct CompLayerOptions {
 };
 
 class CompLayer : public StackableFs,
-                  public CacheManager,
                   public Servant,
                   public metrics::StatsProvider {
  public:
@@ -89,11 +91,6 @@ class CompLayer : public StackableFs,
   Result<FsInfo> GetFsInfo() override;
   Status SyncFs() override;
 
-  // --- CacheManager (toward the layer below, Figure 6 mode) ---
-  Result<ChannelSetup> EstablishChannel(uint64_t pager_key,
-                                        sp<PagerObject> pager) override;
-  std::string cache_manager_name() const override { return "compfs"; }
-
   // Rewrites a file's chunk store, dropping orphaned chunks. Returns bytes
   // reclaimed.
   Result<uint64_t> Compact(const Name& name, const Credentials& creds);
@@ -107,7 +104,7 @@ class CompLayer : public StackableFs,
 
  private:
   friend class CompFile;
-  friend class CompPagerObject;
+  friend class LayerPager<CompLayer>;
   friend class CompLowerCacheObject;
 
   CompLayer(sp<Domain> domain, CompLayerOptions options, Clock* clock);
@@ -148,9 +145,8 @@ class CompLayer : public StackableFs,
     std::map<Offset, bool> dirty;
     CoherencyEngine engine;
 
-    // Figure 6: our channel to the layer below.
-    bool bound_below = false;
-    sp<PagerObject> lower_pager;
+    // Figure 6: our channel to `under_data`, as its cache manager.
+    sp<LowerChannel> lower = std::make_shared<LowerChannel>("compfs");
 
     uint64_t atime_ns = 0;
     uint64_t mtime_ns = 0;
@@ -169,6 +165,9 @@ class CompLayer : public StackableFs,
   // in a PrefixContext.
   Result<sp<Object>> WrapResolved(const Name& name, sp<Object> object);
   Result<sp<CompFile>> WrapFile(const Name& name, const sp<File>& under_data);
+  // Figure 6: binds the data file below unless already bound; a new
+  // channel drops the clean derived caches, which were filled through the
+  // file interface with no holdings registered below.
   Status EnsureBoundBelow(const sp<FileState>& state);
 
   // Metadata (de)serialization; state.mutex held.
@@ -194,6 +193,9 @@ class CompLayer : public StackableFs,
   Status ClientPageWrite(FileState& state, uint64_t channel, Offset offset,
                          ByteSpan data, bool drops, bool downgrades,
                          bool push_below);
+  Result<FileAttributes> ClientGetAttributes(FileState& state);
+  Status ClientWriteAttributes(FileState& state, uint64_t channel,
+                               const AttrUpdate& update);
 
   // Lower coherency callbacks (Figure 6): drop caches.
   Status LowerInvalidate(FileState& state);
@@ -207,9 +209,6 @@ class CompLayer : public StackableFs,
   std::map<std::string, sp<CompFile>> wrapped_files_;  // by full path
   uint64_t next_file_id_ = 1;
   PagerChannelTable client_channels_;
-
-  std::mutex bind_mutex_;
-  sp<FileState> binding_state_;
 
   mutable std::mutex stats_mutex_;
   Stats stats_;

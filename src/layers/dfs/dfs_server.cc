@@ -11,15 +11,6 @@
 namespace springfs::dfs {
 namespace {
 
-class DfsCacheRights : public CacheRights {
- public:
-  explicit DfsCacheRights(uint64_t id) : id_(id) {}
-  uint64_t channel_id() const override { return id_; }
-
- private:
-  uint64_t id_;
-};
-
 net::Frame OkFrame() { return net::Frame{}; }
 
 net::Frame StatusFrame(const Status& st) {
@@ -296,10 +287,7 @@ class DfsLowerCacheObject : public FsCacheObject, public Servant {
   }
   Status DestroyCache() override {
     return InDomain([&]() -> Status {
-      std::lock_guard<std::mutex> lock(file_->mutex);
-      file_->bound_below = false;
-      file_->lower_pager = nullptr;
-      file_->lower_fs_pager = nullptr;
+      file_->lower->Drop();
       return Status::Ok();
     });
   }
@@ -485,46 +473,11 @@ Result<sp<DfsServer::ServerFile>> DfsServer::FileForHandle(uint64_t handle) {
 }
 
 Status DfsServer::EnsureBoundBelow(const sp<ServerFile>& file) {
-  std::lock_guard<std::mutex> bind_lock(bind_mutex_);
-  {
-    std::lock_guard<std::mutex> lock(file->mutex);
-    if (file->bound_below) {
-      return Status::Ok();
-    }
-  }
-  binding_file_ = file;
-  sp<DfsServer> self = std::dynamic_pointer_cast<DfsServer>(shared_from_this());
-  Result<sp<CacheRights>> rights =
-      file->under->Bind(self, AccessRights::kReadWrite);
-  binding_file_ = nullptr;
-  if (!rights.ok()) {
-    return rights.status();
-  }
-  std::lock_guard<std::mutex> lock(file->mutex);
-  if (!file->lower_pager) {
-    return ErrInvalidArgument("lower layer did not establish a channel");
-  }
-  file->bound_below = true;
-  return Status::Ok();
-}
-
-Result<CacheManager::ChannelSetup> DfsServer::EstablishChannel(
-    uint64_t pager_key, sp<PagerObject> pager) {
-  (void)pager_key;
-  sp<ServerFile> file = binding_file_;
-  if (!file) {
-    return ErrInvalidArgument("unexpected channel establishment");
-  }
-  sp<DfsServer> self = std::dynamic_pointer_cast<DfsServer>(shared_from_this());
-  {
-    std::lock_guard<std::mutex> lock(file->mutex);
-    file->lower_pager = pager;
-    file->lower_fs_pager = narrow<FsPagerObject>(pager);
-  }
-  ChannelSetup setup;
-  setup.cache = std::make_shared<DfsLowerCacheObject>(domain(), self, file);
-  setup.rights = std::make_shared<DfsCacheRights>(file->handle);
-  return setup;
+  return file->lower->Ensure(*file->under, [&] {
+    return std::make_shared<DfsLowerCacheObject>(
+        domain(), std::dynamic_pointer_cast<DfsServer>(shared_from_this()),
+        file);
+  });
 }
 
 void DfsServer::PruneEvicted(ServerFile& file) {
@@ -635,10 +588,14 @@ Status DfsServer::RecallConflicting(const sp<ServerFile>& file,
 
 Status DfsServer::PushRecovered(ServerFile& file,
                                 const std::vector<BlockData>& blocks) {
+  if (blocks.empty()) {
+    return Status::Ok();
+  }
+  ASSIGN_OR_RETURN(sp<PagerObject> pager, file.lower->pager());
   for (const BlockData& block : blocks) {
     Buffer page = block.data;
     page.resize(kPageSize);
-    RETURN_IF_ERROR(file.lower_pager->Sync(block.offset, page.span()));
+    RETURN_IF_ERROR(pager->Sync(block.offset, page.span()));
   }
   return Status::Ok();
 }
@@ -1976,8 +1933,11 @@ net::Frame DfsServer::HandleFileOp(Op op, const net::Frame& request,
       if (!pushed.ok()) {
         return StatusFrame(pushed);
       }
-      Result<Buffer> data =
-          file->lower_pager->PageIn(req->offset, req->size, access);
+      Result<sp<PagerObject>> pager = file->lower->pager();
+      if (!pager.ok()) {
+        return StatusFrame(pager.status());
+      }
+      Result<Buffer> data = (*pager)->PageIn(req->offset, req->size, access);
       if (!data.ok()) {
         return StatusFrame(data.status());
       }
@@ -2045,7 +2005,11 @@ net::Frame DfsServer::HandleFileOp(Op op, const net::Frame& request,
             ErrStale("page-out from evicted cache id " +
                      std::to_string(req->cache_id)));
       }
-      Status st = file->lower_pager->Sync(req->offset, req->data.span());
+      Result<sp<PagerObject>> pager = file->lower->pager();
+      if (!pager.ok()) {
+        return StatusFrame(pager.status());
+      }
+      Status st = (*pager)->Sync(req->offset, req->data.span());
       if (!st.ok()) {
         return StatusFrame(st);
       }

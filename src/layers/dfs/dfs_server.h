@@ -28,6 +28,7 @@
 #include "src/coherency/engine.h"
 #include "src/fs/channel_table.h"
 #include "src/fs/file.h"
+#include "src/fs/lower_channel.h"
 #include "src/layers/dfs/protocol.h"
 #include "src/layers/dfs/wire.h"
 #include "src/net/network.h"
@@ -97,7 +98,6 @@ struct DfsServerOptions {
 };
 
 class DfsServer : public StackableFs,
-                  public CacheManager,
                   public Servant,
                   public metrics::StatsProvider {
  public:
@@ -133,11 +133,6 @@ class DfsServer : public StackableFs,
   // --- Fs ---
   Result<FsInfo> GetFsInfo() override;
   Status SyncFs() override;
-
-  // --- CacheManager (toward the layer below) ---
-  Result<ChannelSetup> EstablishChannel(uint64_t pager_key,
-                                        sp<PagerObject> pager) override;
-  std::string cache_manager_name() const override { return "dfs-server"; }
 
   // --- StatsProvider ---
   std::string stats_prefix() const override { return "layer/dfs_server"; }
@@ -250,9 +245,8 @@ class DfsServer : public StackableFs,
     uint64_t handle = 0;
     std::string path;
     sp<File> under;
-    bool bound_below = false;
-    sp<PagerObject> lower_pager;
-    sp<FsPagerObject> lower_fs_pager;
+    // Our channel to `under`, as its cache manager.
+    sp<LowerChannel> lower = std::make_shared<LowerChannel>("dfs-server");
     CoherencyEngine engine;  // across remote caches (proxies)
     std::map<uint64_t, RemoteCacheInfo> remote_caches;  // by engine cache id
     uint64_t next_cache_id = 1;
@@ -367,6 +361,8 @@ class DfsServer : public StackableFs,
 
   Result<sp<ServerFile>> FileForPath(const std::string& path);
   Result<sp<ServerFile>> FileForHandle(uint64_t handle);
+  // Binds `file` to the file below unless already bound; called before
+  // `file.mutex` is taken.
   Status EnsureBoundBelow(const sp<ServerFile>& file);
 
   // Pushes dirty blocks recovered from remote caches down to the layer
@@ -395,9 +391,6 @@ class DfsServer : public StackableFs,
   // of mutating ops replay the stored response instead of re-executing
   // (exactly-once within this boot epoch).
   ReplyCache dedup_;
-
-  std::mutex bind_mutex_;
-  sp<ServerFile> binding_file_;
 
   // Striped metadata role: per-file staleness state by path (see
   // StripeState). Guarded by stripe_mutex_; never held across a wire call.

@@ -66,6 +66,9 @@ class DiskLayer : public StackableFs, public Servant {
   // of the same name return equivalent memory objects.
   Result<sp<File>> FileForInode(ufs::InodeNum ino);
 
+  // Channels that cache managers above have bound to this layer's files.
+  size_t num_client_channels() const { return channels_.NumChannels(); }
+
   ufs::Ufs& ufs() { return *ufs_; }
 
  private:

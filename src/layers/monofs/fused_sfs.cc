@@ -55,20 +55,25 @@ Result<sp<FusedSfs>> FusedSfs::Format(sp<Domain> domain, BlockDevice* device,
 FusedSfs::FusedSfs(sp<Domain> domain, std::unique_ptr<MonoFs> fs)
     : Servant(std::move(domain)), fs_(std::move(fs)) {}
 
-Result<sp<File>> FusedSfs::FileFor(const std::string& path) {
+Result<sp<Object>> FusedSfs::ObjectFor(const Name& name) {
+  std::string path = name.ToString();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = open_files_.find(path);
     if (it != open_files_.end()) {
-      return it->second;
+      return sp<Object>(it->second);
     }
   }
   ASSIGN_OR_RETURN(MonoFd fd, fs_->Open(path));
+  ASSIGN_OR_RETURN(FileAttributes attrs, fs_->Stat(fd));
   sp<FusedSfs> self = std::dynamic_pointer_cast<FusedSfs>(shared_from_this());
+  if (attrs.kind == FileKind::kDirectory) {
+    return sp<Object>(MakePrefixContext(std::move(self), name));
+  }
   sp<File> file = std::make_shared<FusedFile>(domain(), self, fd);
   std::lock_guard<std::mutex> lock(mutex_);
   auto [it, inserted] = open_files_.emplace(path, file);
-  return it->second;
+  return sp<Object>(it->second);
 }
 
 Result<sp<Object>> FusedSfs::Resolve(const Name& name,
@@ -78,8 +83,7 @@ Result<sp<Object>> FusedSfs::Resolve(const Name& name,
     if (name.empty()) {
       return sp<Object>(std::dynamic_pointer_cast<Object>(shared_from_this()));
     }
-    ASSIGN_OR_RETURN(sp<File> file, FileFor(name.ToString()));
-    return sp<Object>(file);
+    return ObjectFor(name);
   });
 }
 
@@ -128,7 +132,8 @@ Result<sp<File>> FusedSfs::CreateFile(const Name& name,
   return InDomain([&]() -> Result<sp<File>> {
     ASSIGN_OR_RETURN(MonoFd fd, fs_->Create(name.ToString()));
     (void)fd;
-    return FileFor(name.ToString());
+    ASSIGN_OR_RETURN(sp<Object> file, ObjectFor(name));
+    return narrow<File>(file);
   });
 }
 

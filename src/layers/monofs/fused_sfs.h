@@ -55,7 +55,9 @@ class FusedSfs : public StackableFs, public Servant {
 
   FusedSfs(sp<Domain> domain, std::unique_ptr<MonoFs> fs);
 
-  Result<sp<File>> FileFor(const std::string& path);
+  // The object at `name`: its open FusedFile, or on a miss a new one, or
+  // the directory's PrefixContext.
+  Result<sp<Object>> ObjectFor(const Name& name);
 
   std::unique_ptr<MonoFs> fs_;
   std::mutex mutex_;

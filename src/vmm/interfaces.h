@@ -156,6 +156,17 @@ class CacheRights : public virtual Object {
   virtual uint64_t channel_id() const = 0;
 };
 
+// The cache_rights object every cache manager hands back from the bind
+// exchange: it names one channel of that manager and nothing else.
+class ChannelRights final : public CacheRights {
+ public:
+  explicit ChannelRights(uint64_t id) : id_(id) {}
+  uint64_t channel_id() const override { return id_; }
+
+ private:
+  uint64_t id_;
+};
+
 class CacheManager;
 
 // --- memory objects --------------------------------------------------------

@@ -777,6 +777,39 @@ TEST_F(CfsTest, AttrInvalidationCallback) {
   EXPECT_EQ(file->Stat()->size, 100u);
 }
 
+TEST_F(CfsTest, RebindsAfterServerRestartDropsTheChannel) {
+  sp<File> created = *client_->CreateFile(*Name::Parse("reb"), sys_);
+  Buffer data(std::string("twelve bytes"));
+  ASSERT_TRUE(created->Write(0, data.span()).ok());
+  sp<File> file = *ResolveAs<File>(cfs_, "reb", sys_);
+  // The read binds CFS's channel and caches the attributes.
+  Buffer out(data.size());
+  ASSERT_TRUE(file->Read(0, out.mutable_span()).ok());
+  ASSERT_EQ(file->Stat()->size, data.size());
+
+  // Restart: client 1 observes the new epoch on its next call and tears
+  // down every channel, CFS's included. The new server never heard of CFS,
+  // so no invalidation can reach its attribute cache any more.
+  server_ = *DfsServer::Create(server_node_, network_.get(), "dfs",
+                               sfs_.root, &clock_);
+  ASSERT_TRUE(ResolveAs<File>(client_, "reb", sys_).ok());
+  ASSERT_GT(metrics::StatValue(*client_, "channels_invalidated"), 0u);
+
+  // A second client changes the length; CFS must not answer from the
+  // attributes it cached under the dead channel.
+  sp<File> other = *ResolveAs<File>(client2_, "reb", sys_);
+  ASSERT_TRUE(other->SetLength(100).ok());
+  EXPECT_EQ(file->Stat()->size, 100u);
+
+  // The next read binds again, so later changes are called back.
+  ASSERT_TRUE(file->Read(0, out.mutable_span()).ok());
+  EXPECT_EQ(out, data);
+  uint64_t invalidations = metrics::StatValue(*cfs_, "attr_invalidations");
+  ASSERT_TRUE(other->SetLength(200).ok());
+  EXPECT_GT(metrics::StatValue(*cfs_, "attr_invalidations"), invalidations);
+  EXPECT_EQ(file->Stat()->size, 200u);
+}
+
 TEST_F(CfsTest, SubdirStatsStayCached) {
   ASSERT_TRUE(client_->CreateContext(*Name::Parse("d"), sys_).ok());
   ASSERT_TRUE(client_->CreateFile(*Name::Parse("d/hot"), sys_).ok());

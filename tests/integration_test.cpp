@@ -235,6 +235,121 @@ TEST(ThreadTransportIntegrationTest, ConcurrentWritersOnOneSfs) {
   Domain::SetDefaultTransport(old);
 }
 
+// Concurrent first reads of one file through a layer that binds the file
+// below as its cache manager. Each of kFirstReaders threads runs
+// `read_once(thread, out)` once, all released together; returns how many
+// failed or read other bytes than `expect`.
+constexpr int kFirstReaders = 8;
+
+int RaceFirstReads(
+    const Buffer& expect,
+    const std::function<Status(int, MutableByteSpan)>& read_once) {
+  std::atomic<bool> go{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kFirstReaders; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load()) {
+        std::this_thread::yield();
+      }
+      Buffer out(expect.size());
+      if (!read_once(t, out.mutable_span()).ok() || !(out == expect)) {
+        ++failures;
+      }
+    });
+  }
+  go.store(true);
+  for (auto& th : threads) {
+    th.join();
+  }
+  return failures.load();
+}
+
+TEST(ThreadTransportIntegrationTest, ConcurrentFirstBindsMakeOneLowerChannel) {
+  ThreadTransport transport;
+  Transport* old = Domain::SetDefaultTransport(&transport);
+  {
+    FakeClock clock;
+    Credentials sys = Credentials::System();
+    Rng rng(16);
+    Buffer data = rng.CompressibleBuffer(2 * kPageSize);
+
+    // SFS: the coherency layer binds the disk layer's file.
+    {
+      MemBlockDevice device(ufs::kBlockSize, 8192);
+      SfsOptions options;
+      options.placement = SfsPlacement::kTwoDomains;
+      Sfs sfs = *CreateSfs(&device, options, &clock);
+      sp<File> below = *sfs.disk->CreateFile(*Name::Parse("f"), sys);
+      ASSERT_TRUE(below->Write(0, data.span()).ok());
+      sp<File> file = *ResolveAs<File>(sfs.root, "f", sys);
+      ASSERT_EQ(sfs.disk->num_client_channels(), 0u);
+      EXPECT_EQ(RaceFirstReads(data,
+                               [&](int, MutableByteSpan out) {
+                                 return file->Read(0, out).status();
+                               }),
+                0);
+      EXPECT_EQ(sfs.disk->num_client_channels(), 1u);
+    }
+
+    // COMPFS, Figure 6: a client's bind makes COMPFS bind its chunk store
+    // at SFS; every thread maps the file through its own VMM.
+    {
+      MemBlockDevice device(ufs::kBlockSize, 8192);
+      Sfs sfs = *CreateSfs(&device, SfsOptions{}, &clock);
+      sp<CompLayer> comp =
+          CompLayer::Create(Domain::Create("comp"), CompLayerOptions{}, &clock);
+      ASSERT_TRUE(comp->StackOn(sfs.root).ok());
+      sp<File> file = *comp->CreateFile(*Name::Parse("c"), sys);
+      ASSERT_TRUE(file->Write(0, data.span()).ok());
+      ASSERT_TRUE(file->SyncFile().ok());
+      ASSERT_EQ(sfs.coherency->num_client_channels(), 0u);
+      std::vector<sp<Vmm>> vmms;
+      for (int t = 0; t < kFirstReaders; ++t) {
+        vmms.push_back(Vmm::Create(Domain::Create("n"), "vmm"));
+      }
+      EXPECT_EQ(RaceFirstReads(data,
+                               [&](int t, MutableByteSpan out) -> Status {
+                                 ASSIGN_OR_RETURN(
+                                     sp<MappedRegion> region,
+                                     vmms[t]->Map(file,
+                                                  AccessRights::kReadOnly));
+                                 return region->Read(0, out);
+                               }),
+                0);
+      EXPECT_EQ(sfs.coherency->num_client_channels(), 1u);
+    }
+
+    // A DFS server binds SFS's file on the first remote read; every thread
+    // reads through its own client mount.
+    {
+      MemBlockDevice device(ufs::kBlockSize, 8192);
+      Sfs sfs = *CreateSfs(&device, SfsOptions{}, &clock);
+      sp<File> local = *sfs.root->CreateFile(*Name::Parse("r"), sys);
+      ASSERT_TRUE(local->Write(0, data.span()).ok());
+      net::Network network(&clock, 1000);
+      sp<net::Node> server_node = network.AddNode("server");
+      sp<DfsServer> server =
+          *DfsServer::Create(server_node, &network, "dfs", sfs.root, &clock);
+      std::vector<sp<File>> remotes;
+      for (int t = 0; t < kFirstReaders; ++t) {
+        sp<net::Node> node = network.AddNode("client" + std::to_string(t));
+        sp<DfsClient> client =
+            *DfsClient::Mount(node, &network, "server", "dfs");
+        remotes.push_back(*ResolveAs<File>(client, "r", sys));
+      }
+      ASSERT_EQ(sfs.coherency->num_client_channels(), 0u);
+      EXPECT_EQ(RaceFirstReads(data,
+                               [&](int t, MutableByteSpan out) {
+                                 return remotes[t]->Read(0, out).status();
+                               }),
+                0);
+      EXPECT_EQ(sfs.coherency->num_client_channels(), 1u);
+    }
+  }
+  Domain::SetDefaultTransport(old);
+}
+
 // --- POSIX over a DFS mount ---
 
 TEST(PosixOverDfsTest, UnixStyleAccessToRemoteFiles) {

@@ -294,5 +294,19 @@ TEST(FusedSfsTest, CreatedContextIsRootedAtTheDirectory) {
             ErrorCode::kNotFound);
 }
 
+// Resolving a directory yields its context, never a file over the
+// directory's inode.
+TEST(FusedSfsTest, DirectoryResolvesToAContext) {
+  FakeClock clock;
+  MemBlockDevice device(ufs::kBlockSize, 4096);
+  sp<FusedSfs> fs = *FusedSfs::Format(Domain::Create("fused"), &device, &clock);
+  Credentials sys = Credentials::System();
+  ASSERT_TRUE(fs->CreateContext(*Name::Parse("d"), sys).ok());
+  Result<sp<Object>> dir = fs->Resolve(*Name::Parse("d"), sys);
+  ASSERT_TRUE(dir.ok());
+  EXPECT_NE(narrow<Context>(*dir), nullptr);
+  EXPECT_EQ(narrow<File>(*dir), nullptr);
+}
+
 }  // namespace
 }  // namespace springfs
