@@ -26,6 +26,7 @@
 #include "bench/bench_util.h"
 #include "src/layers/dfs/cluster_stats.h"
 #include "src/layers/dfs/dfs_server.h"
+#include "src/layers/dfs/stripe_mds.h"
 #include "src/layers/dfs/striped_client.h"
 #include "src/layers/sfs/sfs.h"
 #include "src/obs/flight_recorder.h"
@@ -34,7 +35,8 @@
 using namespace springfs;
 using bench::Measurement;
 using dfs::DfsServer;
-using dfs::DfsServerOptions;
+using dfs::StripeMdsConfig;
+using dfs::StripeMds;
 using dfs::StripedDfsClient;
 using dfs::StripedDfsClientOptions;
 
@@ -72,9 +74,9 @@ RunResult RunWidth(bench::BenchReport& report, size_t width) {
   std::vector<std::unique_ptr<MemBlockDevice>> devices;
   std::vector<Sfs> stores;
   std::vector<sp<DfsServer>> servers;
-  DfsServerOptions mds_options;
-  mds_options.stripe_size = kStripeSize;
-  mds_options.stripe_replicas = 1;  // the width phases measure raw RAID-0
+  StripeMdsConfig mds_config;
+  mds_config.stripe_size = kStripeSize;
+  mds_config.stripe_replicas = 1;  // the width phases measure raw RAID-0
   for (size_t k = 0; k < width; ++k) {
     std::string node_name = "data" + std::to_string(k);
     sp<net::Node> data_node = network.AddNode(node_name);
@@ -83,13 +85,13 @@ RunResult RunWidth(bench::BenchReport& report, size_t width) {
     servers.push_back(DfsServer::Create(data_node, &network, "dfs-data",
                                         stores.back().root)
                           .take_value());
-    mds_options.stripe_targets.push_back({node_name, "dfs-data"});
+    mds_config.stripe_targets.push_back({node_name, "dfs-data"});
   }
   devices.push_back(std::make_unique<MemBlockDevice>(ufs::kBlockSize, 16384));
   stores.push_back(CreateSfs(devices.back().get(), SfsOptions{}).take_value());
-  sp<DfsServer> mds =
-      DfsServer::Create(mds_node, &network, "dfs-meta", stores.back().root,
-                        &DefaultClock(), mds_options)
+  sp<StripeMds> mds =
+      StripeMds::Create(mds_node, &network, "dfs-meta", stores.back().root,
+                        &DefaultClock(), mds_config)
           .take_value();
 
   StripedDfsClientOptions options;
@@ -177,9 +179,9 @@ DegradedResult RunDegraded(bench::BenchReport& report) {
   std::vector<std::unique_ptr<MemBlockDevice>> devices;
   std::vector<Sfs> stores;
   std::vector<sp<DfsServer>> servers;
-  DfsServerOptions mds_options;
-  mds_options.stripe_size = kStripeSize;
-  mds_options.stripe_replicas = 2;
+  StripeMdsConfig mds_config;
+  mds_config.stripe_size = kStripeSize;
+  mds_config.stripe_replicas = 2;
   for (size_t k = 0; k < kWidth; ++k) {
     std::string node_name = "data" + std::to_string(k);
     sp<net::Node> data_node = network.AddNode(node_name);
@@ -188,13 +190,13 @@ DegradedResult RunDegraded(bench::BenchReport& report) {
     servers.push_back(DfsServer::Create(data_node, &network, "dfs-data",
                                         stores.back().root)
                           .take_value());
-    mds_options.stripe_targets.push_back({node_name, "dfs-data"});
+    mds_config.stripe_targets.push_back({node_name, "dfs-data"});
   }
   devices.push_back(std::make_unique<MemBlockDevice>(ufs::kBlockSize, 16384));
   stores.push_back(CreateSfs(devices.back().get(), SfsOptions{}).take_value());
-  sp<DfsServer> mds =
-      DfsServer::Create(mds_node, &network, "dfs-meta", stores.back().root,
-                        &DefaultClock(), mds_options)
+  sp<StripeMds> mds =
+      StripeMds::Create(mds_node, &network, "dfs-meta", stores.back().root,
+                        &DefaultClock(), mds_config)
           .take_value();
 
   StripedDfsClientOptions options;

@@ -40,6 +40,7 @@
 #include "src/layers/dfs/cluster_stats.h"
 #include "src/layers/dfs/dfs_client.h"
 #include "src/layers/dfs/dfs_server.h"
+#include "src/layers/dfs/stripe_mds.h"
 #include "src/layers/dfs/striped_client.h"
 #include "src/layers/sfs/sfs.h"
 #include "src/obs/flight_recorder.h"
@@ -177,9 +178,9 @@ int RunCluster(const std::string& addresses, bool json, bool diff,
   std::vector<std::unique_ptr<MemBlockDevice>> devices;
   std::vector<Sfs> stores;
   std::vector<sp<dfs::DfsServer>> servers;
-  dfs::DfsServerOptions mds_options;
-  mds_options.stripe_size = kStripeSize;
-  mds_options.stripe_replicas = 2;
+  dfs::StripeMdsConfig mds_config;
+  mds_config.stripe_size = kStripeSize;
+  mds_config.stripe_replicas = 2;
   for (size_t k = 0; k < kWidth; ++k) {
     std::string node_name = "data" + std::to_string(k);
     sp<net::Node> data_node = network.AddNode(node_name);
@@ -190,14 +191,14 @@ int RunCluster(const std::string& addresses, bool json, bool diff,
     servers.push_back(dfs::DfsServer::Create(data_node, &network, "dfs-data",
                                              stores.back().root)
                           .take_value());
-    mds_options.stripe_targets.push_back({node_name, "dfs-data"});
+    mds_config.stripe_targets.push_back({node_name, "dfs-data"});
   }
   devices.push_back(std::make_unique<MemBlockDevice>(ufs::kBlockSize, 16384));
   stores.push_back(
       CreateSfs(devices.back().get(), SfsOptions{}).take_value());
-  sp<dfs::DfsServer> mds =
-      dfs::DfsServer::Create(mds_node, &network, "dfs-meta",
-                             stores.back().root, &DefaultClock(), mds_options)
+  sp<dfs::StripeMds> mds =
+      dfs::StripeMds::Create(mds_node, &network, "dfs-meta",
+                             stores.back().root, &DefaultClock(), mds_config)
           .take_value();
 
   sp<dfs::StripedDfsClient> client =

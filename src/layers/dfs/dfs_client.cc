@@ -655,6 +655,15 @@ void DfsClient::Bump(uint64_t Stats::*field) {
   ++(stats_.*field);
 }
 
+void RetryState::BackOff(const DfsClientOptions& policy, Clock* clock) {
+  uint64_t backoff =
+      next_backoff_ns == 0 ? policy.backoff_base_ns : next_backoff_ns;
+  backoff = std::min(backoff, policy.backoff_max_ns);
+  clock->SleepNs(backoff);
+  next_backoff_ns = std::min(backoff * 2, policy.backoff_max_ns);
+  ++attempt;
+}
+
 Result<net::Frame> DfsClient::Call(Op op, const net::Frame& request) {
   RetryState retry;
   return Call(op, request, &retry);
@@ -726,15 +735,10 @@ Result<net::Frame> DfsClient::Call(Op op, const net::Frame& request,
       }
       return response;
     }
-    // Capped exponential backoff, slept on the injected clock. The state
-    // lives in `retry` so a caller that re-issues after a kStale rebind
-    // keeps the grown backoff instead of restarting at the base value.
-    uint64_t backoff = retry->next_backoff_ns == 0 ? options_.backoff_base_ns
-                                                   : retry->next_backoff_ns;
-    backoff = std::min(backoff, options_.backoff_max_ns);
-    clock_->SleepNs(backoff);
-    retry->next_backoff_ns = std::min(backoff * 2, options_.backoff_max_ns);
-    ++retry->attempt;
+    // The backoff state lives in `retry` so a caller that re-issues after
+    // a kStale rebind keeps the grown backoff instead of restarting at the
+    // base value.
+    retry->BackOff(options_, clock_);
     {
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.retries;

@@ -69,6 +69,10 @@ struct DfsClientOptions {
 struct RetryState {
   uint32_t attempt = 0;
   uint64_t next_backoff_ns = 0;  // 0 = start at backoff_base_ns
+
+  // Sleeps `policy`'s capped exponential backoff step on `clock` and
+  // advances to the next attempt.
+  void BackOff(const DfsClientOptions& policy, Clock* clock);
 };
 
 class DfsClient : public Context,
@@ -89,6 +93,8 @@ class DfsClient : public Context,
   ~DfsClient() override;
 
   const char* interface_name() const override { return "dfs_client"; }
+
+  const DfsClientOptions& options() const { return options_; }
 
   // --- Context ---
   Result<sp<Object>> Resolve(const Name& name,

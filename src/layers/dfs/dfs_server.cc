@@ -13,12 +13,9 @@ namespace {
 
 net::Frame OkFrame() { return net::Frame{}; }
 
-net::Frame StatusFrame(const Status& st) {
-  if (st.ok()) {
-    return OkFrame();
-  }
-  net::Frame frame = net::Frame::Error(st.code());
-  frame.payload = Buffer(st.message());
+net::Frame PayloadFrame(Buffer payload) {
+  net::Frame frame;
+  frame.payload = std::move(payload);
   return frame;
 }
 
@@ -35,19 +32,6 @@ uint64_t NextBootEpoch() {
 uint64_t NextDelegId() {
   static std::atomic<uint64_t> next{1};
   return next.fetch_add(1);
-}
-
-// Durable name of a file's per-data-server stripe object, derived from the
-// metadata path with FNV-1a so it stays stable across metadata- and
-// data-server restarts. Every data server holds the object under the same
-// name; what differs per server is which stripes of the file it stores.
-std::string StripeObjectName(const std::string& path) {
-  uint64_t h = Fnv1a64(
-      ByteSpan(reinterpret_cast<const uint8_t*>(path.data()), path.size()));
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "stripe-%016llx",
-                static_cast<unsigned long long>(h));
-  return buf;
 }
 
 // Ops that modify server state — rejected during the post-boot grace
@@ -115,6 +99,17 @@ metrics::OpMetric& OpMetricFor(Op op) {
       return StatusFrame(_st);          \
     }                                   \
   } while (0)
+// Binds `lhs` to the value of the Result `expr` from inside a handler, or
+// returns its error as an error frame.
+#define ASSIGN_OR_RETURN_FRAME(lhs, expr)                                 \
+  ASSIGN_OR_RETURN_FRAME_IMPL_(SPRINGFS_CONCAT_(_frame_res_, __LINE__), \
+                               lhs, expr)
+#define ASSIGN_OR_RETURN_FRAME_IMPL_(tmp, lhs, expr) \
+  auto tmp = (expr);                                 \
+  if (!tmp.ok()) {                                   \
+    return StatusFrame(tmp.status());                \
+  }                                                  \
+  lhs = tmp.take_value()
 
 // A remote client cache, reachable only through the DFS protocol. The
 // server's per-file CoherencyEngine treats it like any cache object.
@@ -367,18 +362,32 @@ Result<sp<DfsServer>> DfsServer::Create(const sp<net::Node>& node,
                                         const std::string& service,
                                         sp<StackableFs> under, Clock* clock,
                                         const DfsServerOptions& options) {
-  net::SetFrameTypeNamer(&OpNamer);
   sp<DfsServer> server(new DfsServer(node, network, service, std::move(under),
                                      clock, options));
-  wp<DfsServer> weak = server;
-  node->RegisterService(service, [weak](const net::Frame& request) {
+  server->Listen();
+  return server;
+}
+
+void DfsServer::Listen() {
+  net::SetFrameTypeNamer(&OpNamer);
+  wp<DfsServer> weak =
+      std::dynamic_pointer_cast<DfsServer>(shared_from_this());
+  node_->RegisterService(service_, [weak](const net::Frame& request) {
     sp<DfsServer> strong = weak.lock();
     if (!strong) {
       return net::Frame::Error(ErrorCode::kDeadObject);
     }
     return strong->Handle(request);
   });
-  return server;
+}
+
+net::Frame DfsServer::StatusFrame(const Status& st) {
+  if (st.ok()) {
+    return OkFrame();
+  }
+  net::Frame frame = net::Frame::Error(st.code());
+  frame.payload = Buffer(st.message());
+  return frame;
 }
 
 DfsServer::DfsServer(const sp<net::Node>& node, net::Network* network,
@@ -422,6 +431,12 @@ Result<net::Frame> DfsServer::SendCallback(const std::string& to_node,
   return network_->Call(node_->name(), to_node, to_service, stamped);
 }
 
+Result<net::Frame> DfsServer::CallPeer(const std::string& to_node,
+                                       const std::string& to_service,
+                                       const net::Frame& request) {
+  return network_->Call(node_->name(), to_node, to_service, request);
+}
+
 void DfsServer::NoteLowerFlush() {
   std::lock_guard<std::mutex> lock(stats_mutex_);
   ++stats_.lower_flushes;
@@ -461,6 +476,16 @@ Result<sp<DfsServer::ServerFile>> DfsServer::FileForPath(
   files_by_handle_[file->handle] = file;
   handles_by_path_[path] = file->handle;
   return file;
+}
+
+std::vector<sp<DfsServer::ServerFile>> DfsServer::AllFiles() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<sp<ServerFile>> files;
+  files.reserve(files_by_handle_.size());
+  for (const auto& [handle, file] : files_by_handle_) {
+    files.push_back(file);
+  }
+  return files;
 }
 
 Result<sp<DfsServer::ServerFile>> DfsServer::FileForHandle(uint64_t handle) {
@@ -598,6 +623,28 @@ Status DfsServer::PushRecovered(ServerFile& file,
     RETURN_IF_ERROR(pager->Sync(block.offset, page.span()));
   }
   return Status::Ok();
+}
+
+Status DfsServer::RecallRemote(ServerFile& file, uint64_t requester,
+                               Range range, AccessRights access) {
+  ASSIGN_OR_RETURN(std::vector<BlockData> recovered,
+                   file.engine.Acquire(requester, range, access));
+  PruneEvicted(file);
+  return PushRecovered(file, recovered);
+}
+
+net::Frame DfsServer::FenceStale(ServerFile& file, uint64_t cache_id,
+                                 bool page_out) {
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    ++stats_.stale_fenced;
+  }
+  flight::Record(flight::Severity::kError, "dfs",
+                 page_out ? "stale fence page_out" : "stale fence page_in",
+                 cache_id, file.handle);
+  return StatusFrame(ErrStale(std::string(page_out ? "page-out" : "page-in") +
+                              " from evicted cache id " +
+                              std::to_string(cache_id)));
 }
 
 Status DfsServer::BroadcastAttrInvalidate(ServerFile& file,
@@ -739,9 +786,8 @@ net::Frame DfsServer::Dispatch(Op op, const net::Frame& request,
     case Op::kDelegReturn:
       return HandleDelegReturn(request);
     case Op::kGetStripeMap:
-      return HandleGetStripeMap(request);
     case Op::kReportStaleReplica:
-      return HandleReportStale(request);
+      return HandleStripeOp(op, request);
     case Op::kGetStats:
       return HandleGetStats(request);
     case Op::kGetHealth:
@@ -755,61 +801,40 @@ net::Frame DfsServer::Dispatch(Op op, const net::Frame& request,
 
 net::Frame DfsServer::HandleNameOp(Op op, const net::Frame& request) {
   Credentials creds = Credentials::System();
-  Result<PathRequest> req = PathRequest::Decode(request.payload.span());
-  if (!req.ok()) {
-    return StatusFrame(req.status());
-  }
-  const std::string& path = req->path;
+  ASSIGN_OR_RETURN_FRAME(PathRequest req,
+                         PathRequest::Decode(request.payload.span()));
+  const std::string& path = req.path;
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.remote_lookups;
   }
-  Result<Name> name = Name::Parse(path);
-  if (!name.ok()) {
-    return StatusFrame(name.status());
-  }
+  ASSIGN_OR_RETURN_FRAME(Name name, Name::Parse(path));
   switch (op) {
     case Op::kLookup: {
-      Result<sp<Object>> object = under_->Resolve(*name, creds);
-      if (!object.ok()) {
-        return StatusFrame(object.status());
-      }
+      ASSIGN_OR_RETURN_FRAME(sp<Object> object, under_->Resolve(name, creds));
       LookupResponse body;
-      if (narrow<Context>(*object)) {
+      if (narrow<Context>(object)) {
         body.is_dir = true;
       } else {
-        if (!narrow<File>(*object)) {
+        if (!narrow<File>(object)) {
           return StatusFrame(ErrWrongType("not a file or directory"));
         }
-        Result<sp<ServerFile>> file = FileForPath(path);
-        if (!file.ok()) {
-          return StatusFrame(file.status());
-        }
-        body.handle = (*file)->handle;
+        ASSIGN_OR_RETURN_FRAME(sp<ServerFile> file, FileForPath(path));
+        body.handle = file->handle;
       }
-      net::Frame response;
-      response.payload = body.Encode();
-      return response;
+      return PayloadFrame(body.Encode());
     }
     case Op::kCreate: {
-      Result<sp<File>> created = under_->CreateFile(*name, creds);
-      if (!created.ok()) {
-        return StatusFrame(created.status());
-      }
-      Result<sp<ServerFile>> file = FileForPath(path);
-      if (!file.ok()) {
-        return StatusFrame(file.status());
-      }
+      RETURN_FRAME_IF_ERROR(under_->CreateFile(name, creds).status());
+      ASSIGN_OR_RETURN_FRAME(sp<ServerFile> file, FileForPath(path));
       CreateResponse body;
-      body.handle = (*file)->handle;
-      net::Frame response;
-      response.payload = body.Encode();
-      return response;
+      body.handle = file->handle;
+      return PayloadFrame(body.Encode());
     }
     case Op::kMkdir:
-      return StatusFrame(under_->CreateContext(*name, creds).status());
+      return StatusFrame(under_->CreateContext(name, creds).status());
     case Op::kRemove: {
-      Status st = under_->Unbind(*name, creds);
+      Status st = under_->Unbind(name, creds);
       if (st.ok()) {
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = handles_by_path_.find(path);
@@ -821,26 +846,19 @@ net::Frame DfsServer::HandleNameOp(Op op, const net::Frame& request) {
       return StatusFrame(st);
     }
     case Op::kReadDir: {
-      Result<sp<Object>> dir_obj = under_->Resolve(*name, creds);
-      if (!dir_obj.ok()) {
-        return StatusFrame(dir_obj.status());
-      }
-      sp<Context> dir = narrow<Context>(*dir_obj);
+      ASSIGN_OR_RETURN_FRAME(sp<Object> dir_obj, under_->Resolve(name, creds));
+      sp<Context> dir = narrow<Context>(dir_obj);
       if (!dir) {
         return StatusFrame(ErrNotADirectory(path));
       }
-      Result<std::vector<BindingInfo>> entries = dir->List(creds);
-      if (!entries.ok()) {
-        return StatusFrame(entries.status());
-      }
+      ASSIGN_OR_RETURN_FRAME(std::vector<BindingInfo> entries,
+                             dir->List(creds));
       ReadDirResponse body;
-      body.entries.reserve(entries->size());
-      for (const auto& entry : *entries) {
+      body.entries.reserve(entries.size());
+      for (const auto& entry : entries) {
         body.entries.push_back({entry.name, entry.is_context});
       }
-      net::Frame response;
-      response.payload = body.Encode();
-      return response;
+      return PayloadFrame(body.Encode());
     }
     default:
       return StatusFrame(ErrNotSupported("unknown name op"));
@@ -848,21 +866,15 @@ net::Frame DfsServer::HandleNameOp(Op op, const net::Frame& request) {
 }
 
 net::Frame DfsServer::HandleOpen(const net::Frame& request) {
-  Result<OpenRequest> req = OpenRequest::Decode(request.payload.span());
-  if (!req.ok()) {
-    return StatusFrame(req.status());
-  }
-  Result<sp<ServerFile>> file_result = FileForHandle(req->handle);
-  if (!file_result.ok()) {
-    return StatusFrame(file_result.status());
-  }
-  sp<ServerFile> file = *file_result;
+  ASSIGN_OR_RETURN_FRAME(
+      OpenRequest req, OpenRequest::Decode(request.payload.span()));
+  ASSIGN_OR_RETURN_FRAME(sp<ServerFile> file, FileForHandle(req.handle));
   OpenResponse body;
   body.handle = file->handle;
   // Delegations need a live lease clock and a callback address; without
   // either the open succeeds plain.
-  bool want = req->want_delegation != DelegationKind::kNone &&
-              !req->node.empty() && options_.lease_ns != 0;
+  bool want = req.want_delegation != DelegationKind::kNone &&
+              !req.node.empty() && options_.lease_ns != 0;
   std::vector<std::pair<uint64_t, uint64_t>> dirty_times;
   if (want) {
     std::lock_guard<std::mutex> lock(file->mutex);
@@ -871,7 +883,7 @@ net::Frame DfsServer::HandleOpen(const net::Frame& request) {
     // delegations but not a write one; a write delegation must be alone.
     // On conflict the grant is simply denied — the opener still got its
     // handle, and the conflicting holder keeps its zero-trip serves.
-    bool write_wanted = req->want_delegation == DelegationKind::kWrite;
+    bool write_wanted = req.want_delegation == DelegationKind::kWrite;
     bool conflict = false;
     for (const auto& [id, info] : file->delegations) {
       if (write_wanted || info.kind == DelegationKind::kWrite) {
@@ -881,8 +893,8 @@ net::Frame DfsServer::HandleOpen(const net::Frame& request) {
     }
     if (!conflict) {
       uint64_t deleg_id = NextDelegId();
-      auto proxy = std::make_shared<DelegationProxy>(this, req->node,
-                                                     req->service, deleg_id);
+      auto proxy = std::make_shared<DelegationProxy>(this, req.node,
+                                                     req.service, deleg_id);
       uint64_t incarnation = file->deleg_engine.AddCache(deleg_id, proxy);
       proxy->set_incarnation(incarnation);
       Result<std::vector<BlockData>> claimed = file->deleg_engine.Acquire(
@@ -891,9 +903,9 @@ net::Frame DfsServer::HandleOpen(const net::Frame& request) {
       if (claimed.ok()) {
         DelegationInfo info;
         info.deleg_id = deleg_id;
-        info.kind = req->want_delegation;
-        info.node = req->node;
-        info.service = req->service;
+        info.kind = req.want_delegation;
+        info.node = req.node;
+        info.service = req.service;
         info.incarnation = incarnation;
         // The expiry ships to the client as an ABSOLUTE clock value and is
         // never renewed, so both sides agree on the exact instant local
@@ -903,7 +915,7 @@ net::Frame DfsServer::HandleOpen(const net::Frame& request) {
         info.proxy = proxy;
         file->delegations[deleg_id] = info;
         body.deleg_id = deleg_id;
-        body.granted = req->want_delegation;
+        body.granted = req.want_delegation;
         body.incarnation = incarnation;
         body.expires_at = info.expires_at;
         {
@@ -923,27 +935,18 @@ net::Frame DfsServer::HandleOpen(const net::Frame& request) {
       return StatusFrame(st);
     }
   }
-  net::Frame response;
-  response.payload = body.Encode();
-  return response;
+  return PayloadFrame(body.Encode());
 }
 
 net::Frame DfsServer::HandleDelegReturn(const net::Frame& request) {
-  Result<DelegReturnRequest> req =
-      DelegReturnRequest::Decode(request.payload.span());
-  if (!req.ok()) {
-    return StatusFrame(req.status());
-  }
-  Result<sp<ServerFile>> file_result = FileForHandle(req->handle);
-  if (!file_result.ok()) {
-    return StatusFrame(file_result.status());
-  }
-  sp<ServerFile> file = *file_result;
+  ASSIGN_OR_RETURN_FRAME(DelegReturnRequest req,
+                         DelegReturnRequest::Decode(request.payload.span()));
+  ASSIGN_OR_RETURN_FRAME(sp<ServerFile> file, FileForHandle(req.handle));
   {
     std::lock_guard<std::mutex> lock(file->mutex);
-    auto it = file->delegations.find(req->deleg_id);
+    auto it = file->delegations.find(req.deleg_id);
     if (it == file->delegations.end() ||
-        it->second.incarnation != req->incarnation) {
+        it->second.incarnation != req.incarnation) {
       // Stale return: the delegation was already recalled, expired, or
       // re-granted under a fresh incarnation. Fence it — the times it
       // carries were already collected by the recall (or are void).
@@ -951,366 +954,17 @@ net::Frame DfsServer::HandleDelegReturn(const net::Frame& request) {
       ++stats_.deleg_fenced;
       return OkFrame();
     }
-    file->deleg_engine.RemoveCache(req->deleg_id);
+    file->deleg_engine.RemoveCache(req.deleg_id);
     file->delegations.erase(it);
     {
       std::lock_guard<std::mutex> stats_lock(stats_mutex_);
       ++stats_.delegations_returned;
     }
   }
-  if (req->has_times) {
-    RETURN_FRAME_IF_ERROR(file->under->SetTimes(req->atime_ns, req->mtime_ns));
+  if (req.has_times) {
+    RETURN_FRAME_IF_ERROR(file->under->SetTimes(req.atime_ns, req.mtime_ns));
   }
   return OkFrame();
-}
-
-// --- striped metadata role: staleness state, map building, rebuild --------
-
-uint32_t DfsServer::StripeReplicaCount() const {
-  size_t width = options_.stripe_targets.size();
-  uint32_t r = std::max<uint32_t>(options_.stripe_replicas, 1);
-  return static_cast<uint32_t>(std::min<size_t>(r, width));
-}
-
-namespace {
-
-// Lane-r stripe object name: the primary lane keeps the bare object name
-// (back-compatible with single-lane clusters); higher lanes append a
-// suffix.
-std::string LaneObjectName(const std::string& object_name, size_t lane) {
-  return lane == 0 ? object_name
-                   : object_name + "-r" + std::to_string(lane);
-}
-
-// Sidecar file on the metadata store holding a file's StripeState. Named
-// by the same path hash as the stripe objects so it survives renames of
-// nothing (paths are stable here) and never collides with another file's.
-std::string StripeStateName(const std::string& path) {
-  return "." + StripeObjectName(path) + "-state";
-}
-
-}  // namespace
-
-DfsServer::StripeState DfsServer::LoadStripeState(const std::string& path) {
-  size_t width = options_.stripe_targets.size();
-  {
-    std::lock_guard<std::mutex> lock(stripe_mutex_);
-    auto it = stripe_states_.find(path);
-    if (it != stripe_states_.end()) {
-      it->second.stale.resize(width, false);
-      return it->second;
-    }
-  }
-  StripeState state;
-  state.stale.assign(width, false);
-  // Cold (this boot never touched the file): re-derive from the sidecar,
-  // if a previous incumbent left one. This is what keeps map versions
-  // monotonic — and stale marks durable — across MDS restarts.
-  {
-    Result<sp<File>> sidecar =
-        ResolveAs<File>(under_, StripeStateName(path), Credentials::System());
-    if (sidecar.ok()) {
-      Result<Offset> len = (*sidecar)->GetLength();
-      if (len.ok() && *len > 0) {
-        Buffer raw;
-        raw.resize(*len);
-        Result<size_t> got = (*sidecar)->Read(0, raw.mutable_span());
-        if (got.ok()) {
-          WireReader r(raw.span().first(*got));
-          Result<uint64_t> version = r.U64();
-          Result<uint32_t> count = r.U32();
-          if (version.ok() && count.ok()) {
-            state.version = *version;
-            for (uint32_t t = 0; t < *count; ++t) {
-              Result<uint32_t> flag = r.U32();
-              if (!flag.ok()) {
-                break;
-              }
-              if (t < width) {
-                state.stale[t] = *flag != 0;
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-  std::lock_guard<std::mutex> lock(stripe_mutex_);
-  auto [it, inserted] = stripe_states_.emplace(path, state);
-  return it->second;
-}
-
-void DfsServer::StoreStripeState(const std::string& path,
-                                 const StripeState& state) {
-  {
-    std::lock_guard<std::mutex> lock(stripe_mutex_);
-    stripe_states_[path] = state;
-  }
-  Result<Name> name = Name::Parse(StripeStateName(path));
-  if (!name.ok()) {
-    return;
-  }
-  Result<sp<File>> sidecar =
-      ResolveAs<File>(under_, name->ToString(), Credentials::System());
-  if (!sidecar.ok()) {
-    sidecar = under_->CreateFile(*name, Credentials::System());
-  }
-  if (!sidecar.ok()) {
-    flight::Record(flight::Severity::kWarn, "dfs_stripe",
-                   "stripe-state sidecar unwritable", state.version);
-    return;
-  }
-  WireWriter w;
-  w.U64(state.version);
-  w.U32(static_cast<uint32_t>(state.stale.size()));
-  for (bool flag : state.stale) {
-    w.U32(flag ? 1 : 0);
-  }
-  // The logical path, so a cold incumbent can walk the store's sidecars
-  // and re-derive the full stale set (RunRebuildPass) without waiting for
-  // a client to refetch this file's map.
-  w.Str(path);
-  Buffer wire = w.Take();
-  (void)(*sidecar)->Write(0, wire.span());
-  (void)(*sidecar)->SetLength(wire.size());
-}
-
-std::string DfsServer::ReadSidecarPath(const std::string& sidecar_name) {
-  Result<sp<File>> sidecar =
-      ResolveAs<File>(under_, sidecar_name, Credentials::System());
-  if (!sidecar.ok()) {
-    return "";
-  }
-  Result<Offset> len = (*sidecar)->GetLength();
-  if (!len.ok() || *len == 0) {
-    return "";
-  }
-  Buffer raw;
-  raw.resize(*len);
-  Result<size_t> got = (*sidecar)->Read(0, raw.mutable_span());
-  if (!got.ok()) {
-    return "";
-  }
-  WireReader r(raw.span().first(*got));
-  Result<uint64_t> version = r.U64();
-  Result<uint32_t> count = r.U32();
-  if (!version.ok() || !count.ok()) {
-    return "";
-  }
-  for (uint32_t t = 0; t < *count; ++t) {
-    if (!r.U32().ok()) {
-      return "";
-    }
-  }
-  Result<std::string> path = r.Str();
-  return path.ok() ? *path : "";
-}
-
-bool DfsServer::MarkReplicaStale(const std::string& path, size_t t) {
-  StripeState state = LoadStripeState(path);
-  if (t >= state.stale.size() || state.stale[t]) {
-    return false;
-  }
-  size_t fresh = 0;
-  for (bool flag : state.stale) {
-    fresh += flag ? 0 : 1;
-  }
-  if (fresh <= 1) {
-    // Refusing to mark the last fresh target: a file cannot be served from
-    // zero fresh replicas, so the final copy stays authoritative even if a
-    // client could not reach it.
-    flight::Record(flight::Severity::kWarn, "dfs_stripe",
-                   "refused to mark last fresh target", t, state.version);
-    return false;
-  }
-  state.stale[t] = true;
-  ++state.version;
-  StoreStripeState(path, state);
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.stripe_replicas_marked_stale;
-  }
-  flight::Record(flight::Severity::kWarn, "dfs_stripe",
-                 "replica target marked stale", t, state.version);
-  return true;
-}
-
-// Ensure the stripe object exists on one data server and return its
-// current handle. Deliberately uncached: handles are only valid for a data
-// server's boot epoch, so re-resolving on every map request means a client
-// that refetches the map after a data-server restart gets working handles
-// with no extra re-lookup protocol. The lookup -> create -> re-lookup
-// ladder is convergent, which is what lets kGetStripeMap stay idempotent
-// even though it may create objects.
-Result<uint64_t> DfsServer::EnsureStripeObject(
-    const DfsServerOptions::StripeTarget& target, const std::string& name) {
-  PathRequest object;
-  object.path = name;
-  net::Frame lookup;
-  lookup.type = static_cast<uint32_t>(Op::kLookup);
-  lookup.payload = object.Encode();
-  ASSIGN_OR_RETURN(
-      net::Frame reply,
-      network_->Call(node_->name(), target.node, target.service, lookup));
-  Status st = reply.ToStatus();
-  if (st.code() == ErrorCode::kNotFound) {
-    net::Frame create;
-    create.type = static_cast<uint32_t>(Op::kCreate);
-    create.payload = object.Encode();
-    ASSIGN_OR_RETURN(
-        net::Frame created,
-        network_->Call(node_->name(), target.node, target.service, create));
-    Status create_st = created.ToStatus();
-    if (create_st.ok()) {
-      ASSIGN_OR_RETURN(CreateResponse made,
-                       CreateResponse::Decode(created.payload.span()));
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.stripe_objects_created;
-      }
-      return made.handle;
-    }
-    if (create_st.code() != ErrorCode::kAlreadyExists) {
-      return create_st;
-    }
-    // Lost-response race: our earlier create landed but its reply did not.
-    // Fall through to the re-lookup below.
-    ASSIGN_OR_RETURN(
-        reply,
-        network_->Call(node_->name(), target.node, target.service, lookup));
-    st = reply.ToStatus();
-  }
-  RETURN_IF_ERROR(st);
-  ASSIGN_OR_RETURN(LookupResponse found,
-                   LookupResponse::Decode(reply.payload.span()));
-  return found.handle;
-}
-
-Result<StripeMapResponse> DfsServer::BuildStripeMap(const sp<ServerFile>& file) {
-  uint32_t replicas = StripeReplicaCount();
-  StripeMapResponse body;
-  body.stripe_size = options_.stripe_size;
-  body.replicas = replicas;
-  body.object_name = StripeObjectName(file->path);
-  ASSIGN_OR_RETURN(Offset length, file->under->GetLength());
-  body.length = length;
-
-  bool marked = false;
-  StripeState state = LoadStripeState(file->path);
-  for (size_t t = 0; t < options_.stripe_targets.size(); ++t) {
-    const DfsServerOptions::StripeTarget& target = options_.stripe_targets[t];
-    StripeMapResponse::Target out;
-    out.node = target.node;
-    out.service = target.service;
-    out.stale = state.stale[t];
-    // Stale targets still get an ensure attempt: once the server is back
-    // up the map carries real handles for the rebuild path, while the
-    // stale flag keeps clients away until the rebuild clears it.
-    Status ensure = Status::Ok();
-    for (size_t lane = 0; lane < replicas && ensure.ok(); ++lane) {
-      Result<uint64_t> handle =
-          EnsureStripeObject(target, LaneObjectName(body.object_name, lane));
-      if (!handle.ok()) {
-        ensure = handle.status();
-        break;
-      }
-      out.lane_handles.push_back(*handle);
-    }
-    if (!ensure.ok()) {
-      if (replicas == 1) {
-        // Unreplicated cluster: there is no peer to degrade to, so the map
-        // request fails exactly as it did before replication existed.
-        return ensure;
-      }
-      out.lane_handles.assign(replicas, 0);
-      if (!out.stale && MarkReplicaStale(file->path, t)) {
-        marked = true;
-        out.stale = true;
-      }
-    }
-    body.targets.push_back(std::move(out));
-  }
-  if (marked) {
-    // Re-read so the served version reflects the marks applied above.
-    state = LoadStripeState(file->path);
-    for (size_t t = 0; t < body.targets.size(); ++t) {
-      body.targets[t].stale = state.stale[t];
-    }
-  }
-  body.map_version = state.version;
-  return body;
-}
-
-net::Frame DfsServer::HandleGetStripeMap(const net::Frame& request) {
-  Result<HandleRequest> req = HandleRequest::Decode(request.payload.span());
-  if (!req.ok()) {
-    return StatusFrame(req.status());
-  }
-  if (options_.stripe_targets.empty()) {
-    return StatusFrame(
-        ErrInvalidArgument("server has no stripe targets (not a metadata "
-                           "server); use the single-server path"));
-  }
-  if (options_.stripe_size == 0 || options_.stripe_size % kPageSize != 0) {
-    return StatusFrame(ErrInvalidArgument("stripe_size must be a non-zero "
-                                          "page multiple"));
-  }
-  Result<sp<ServerFile>> file_result = FileForHandle(req->handle);
-  if (!file_result.ok()) {
-    return StatusFrame(file_result.status());
-  }
-  Result<StripeMapResponse> body = BuildStripeMap(*file_result);
-  if (!body.ok()) {
-    return StatusFrame(body.status());
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.stripe_maps_served;
-  }
-  net::Frame response;
-  response.payload = body->Encode();
-  return response;
-}
-
-net::Frame DfsServer::HandleReportStale(const net::Frame& request) {
-  Result<ReportStaleRequest> req =
-      ReportStaleRequest::Decode(request.payload.span());
-  if (!req.ok()) {
-    return StatusFrame(req.status());
-  }
-  if (options_.stripe_targets.empty()) {
-    return StatusFrame(ErrInvalidArgument("not a striped metadata server"));
-  }
-  Result<sp<ServerFile>> file_result = FileForHandle(req->handle);
-  if (!file_result.ok()) {
-    return StatusFrame(file_result.status());
-  }
-  sp<ServerFile> file = *file_result;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.stripe_stale_reports;
-  }
-  if (req->target < options_.stripe_targets.size() &&
-      StripeReplicaCount() > 1) {
-    // Version-fenced: the mark is honored only when the reporter's map is
-    // at least as new as this server's state. A report stamped with an
-    // older version raced a rebuild that already cleared the mark (and
-    // bumped the version past the reporter's) — re-marking would wrongly
-    // evict the just-rebuilt replica. The stale reporter instead gets the
-    // fresh map below and re-plans its writes against it, reaching the
-    // revived target directly. (MarkReplicaStale still refuses to strand
-    // the last fresh copy.)
-    if (req->map_version >= LoadStripeState(file->path).version) {
-      (void)MarkReplicaStale(file->path, static_cast<size_t>(req->target));
-    }
-  }
-  Result<StripeMapResponse> body = BuildStripeMap(file);
-  if (!body.ok()) {
-    return StatusFrame(body.status());
-  }
-  net::Frame response;
-  response.payload = body->Encode();
-  return response;
 }
 
 net::Frame DfsServer::HandleGetStats(const net::Frame&) {
@@ -1326,226 +980,35 @@ net::Frame DfsServer::HandleGetStats(const net::Frame&) {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.stats_scrapes;
   }
-  net::Frame response;
-  response.payload = body.Encode();
-  return response;
+  return PayloadFrame(body.Encode());
+}
+
+net::Frame DfsServer::HandleStripeOp(Op, const net::Frame&) {
+  return StatusFrame(ErrInvalidArgument(
+      "not a striped metadata server; use the single-server path"));
 }
 
 net::Frame DfsServer::HandleGetHealth(const net::Frame&) {
   HealthResponse body;
-  body.role = options_.stripe_targets.empty()
-                  ? HealthResponse::Role::kData
-                  : HealthResponse::Role::kMetadata;
   body.boot_epoch = boot_epoch_;
   body.uptime_ns = clock_->Now() - boot_time_;
-  if (!options_.stripe_targets.empty()) {
-    body.stripe_size = options_.stripe_size;
-    body.stripe_width = static_cast<uint32_t>(options_.stripe_targets.size());
-    body.stripe_replicas = StripeReplicaCount();
-    // Re-derive sidecar staleness first, so a cold incumbent (fresh MDS
-    // after a failover, no client traffic yet) reports truthfully. Local
-    // store reads only — no wire calls under any lock.
-    LoadAllSidecarStates();
-    std::lock_guard<std::mutex> lock(stripe_mutex_);
-    for (const auto& [path, state] : stripe_states_) {
-      HealthResponse::FileHealth file;
-      file.path = path;
-      file.map_version = state.version;
-      for (size_t t = 0; t < state.stale.size(); ++t) {
-        if (state.stale[t]) {
-          file.stale_targets.push_back(static_cast<uint32_t>(t));
-        }
-      }
-      body.files.push_back(std::move(file));
-    }
-  }
+  FillRoleHealth(body);
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
-    body.rebuilds_completed = stats_.stripe_rebuilds;
     ++stats_.health_scrapes;
   }
-  std::vector<sp<ServerFile>> files;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    files.reserve(files_by_handle_.size());
-    for (const auto& [handle, file] : files_by_handle_) {
-      files.push_back(file);
-    }
-  }
-  for (const sp<ServerFile>& file : files) {
+  for (const sp<ServerFile>& file : AllFiles()) {
     std::lock_guard<std::mutex> lock(file->mutex);
     body.delegations_active += file->delegations.size();
     body.leases_active += file->remote_caches.size();
   }
   body.dedup_entries = dedup_.size();
-  net::Frame response;
-  response.payload = body.Encode();
-  return response;
-}
-
-void DfsServer::LoadAllSidecarStates() {
-  // Walk the metadata store's sidecars: each one records the logical path
-  // it belongs to, so a cold incumbent (fresh after an MDS failover, no
-  // client traffic yet) re-derives every file's stale set right here
-  // instead of waiting for map refetches to repopulate it.
-  Result<std::vector<BindingInfo>> entries =
-      under_->List(Credentials::System());
-  if (!entries.ok()) {
-    return;
-  }
-  constexpr std::string_view kPrefix = ".stripe-";
-  constexpr std::string_view kSuffix = "-state";
-  for (const BindingInfo& entry : *entries) {
-    if (entry.name.size() > kPrefix.size() + kSuffix.size() &&
-        entry.name.rfind(kPrefix, 0) == 0 &&
-        entry.name.compare(entry.name.size() - kSuffix.size(),
-                           kSuffix.size(), kSuffix) == 0) {
-      std::string path = ReadSidecarPath(entry.name);
-      if (!path.empty()) {
-        (void)LoadStripeState(path);  // cache-or-sidecar, idempotent
-      }
-    }
-  }
-}
-
-Result<size_t> DfsServer::RunRebuildPass() {
-  if (options_.stripe_targets.empty()) {
-    return size_t{0};
-  }
-  LoadAllSidecarStates();
-  // Snapshot the paths with stale targets.
-  std::vector<std::string> paths;
-  {
-    std::lock_guard<std::mutex> lock(stripe_mutex_);
-    for (const auto& [path, state] : stripe_states_) {
-      if (std::any_of(state.stale.begin(), state.stale.end(),
-                      [](bool flag) { return flag; })) {
-        paths.push_back(path);
-      }
-    }
-  }
-  size_t rebuilt = 0;
-  for (const std::string& path : paths) {
-    StripeState state = LoadStripeState(path);
-    std::string object_name = StripeObjectName(path);
-    for (size_t t = 0; t < state.stale.size(); ++t) {
-      if (!state.stale[t]) {
-        continue;
-      }
-      Status copied = RebuildTarget(object_name, t, state);
-      if (!copied.ok()) {
-        flight::Record(flight::Severity::kWarn, "dfs_stripe",
-                       "rebuild attempt failed", t, state.version);
-        continue;  // target still down or no fresh source; next pass
-      }
-      state.stale[t] = false;
-      ++state.version;
-      StoreStripeState(path, state);
-      ++rebuilt;
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.stripe_rebuilds;
-      }
-      flight::Record(flight::Severity::kInfo, "dfs_stripe",
-                     "stale target rebuilt", t, state.version);
-    }
-  }
-  return rebuilt;
-}
-
-Status DfsServer::RebuildTarget(const std::string& object_name, size_t t,
-                                const StripeState& state) {
-  size_t width = options_.stripe_targets.size();
-  uint32_t replicas = StripeReplicaCount();
-  const DfsServerOptions::StripeTarget& dest = options_.stripe_targets[t];
-
-  // Typed sync call helper against a data server.
-  auto call = [&](const DfsServerOptions::StripeTarget& target, Op op,
-                  Buffer body) -> Result<net::Frame> {
-    net::Frame frame;
-    frame.type = static_cast<uint32_t>(op);
-    frame.payload = std::move(body);
-    ASSIGN_OR_RETURN(
-        net::Frame reply,
-        network_->Call(node_->name(), target.node, target.service, frame));
-    RETURN_IF_ERROR(reply.ToStatus());
-    return reply;
-  };
-
-  for (size_t lane = 0; lane < replicas; ++lane) {
-    // The lane-`lane` object on target t holds stripes s with
-    // (s + lane) % width == t; any fresh lane r' on target
-    // (t - lane + r') % width holds the identical stripe set at identical
-    // local offsets, so the copy is a plain whole-object transfer.
-    size_t base = (t + width - (lane % width)) % width;
-    const DfsServerOptions::StripeTarget* src_target = nullptr;
-    size_t src_lane = 0;
-    for (size_t r = 0; r < replicas; ++r) {
-      size_t candidate = (base + r) % width;
-      if (candidate == t || state.stale[candidate]) {
-        continue;
-      }
-      src_target = &options_.stripe_targets[candidate];
-      src_lane = r;
-      break;
-    }
-    if (!src_target) {
-      return ErrTimedOut("no fresh replica to rebuild from");
-    }
-    ASSIGN_OR_RETURN(
-        uint64_t src_handle,
-        EnsureStripeObject(*src_target, LaneObjectName(object_name, src_lane)));
-    ASSIGN_OR_RETURN(
-        uint64_t dst_handle,
-        EnsureStripeObject(dest, LaneObjectName(object_name, lane)));
-
-    HandleRequest len_req;
-    len_req.handle = src_handle;
-    ASSIGN_OR_RETURN(net::Frame len_reply,
-                     call(*src_target, Op::kGetLength, len_req.Encode()));
-    ASSIGN_OR_RETURN(GetLengthResponse src_len,
-                     GetLengthResponse::Decode(len_reply.payload.span()));
-
-    constexpr uint64_t kChunk = 16 * kPageSize;
-    for (uint64_t off = 0; off < src_len.length; off += kChunk) {
-      uint64_t n = std::min(kChunk, src_len.length - off);
-      ReadRequest read;
-      read.handle = src_handle;
-      read.offset = off;
-      read.length = n;
-      ASSIGN_OR_RETURN(net::Frame read_reply,
-                       call(*src_target, Op::kRead, read.Encode()));
-      ASSIGN_OR_RETURN(ReadResponse data,
-                       ReadResponse::Decode(read_reply.payload.span()));
-      WriteRequest write;
-      write.handle = dst_handle;
-      write.offset = off;
-      write.data = std::move(data.data);
-      size_t written = write.data.size();
-      ASSIGN_OR_RETURN(net::Frame write_reply,
-                       call(dest, Op::kWrite, write.Encode()));
-      (void)write_reply;
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      stats_.stripe_rebuild_bytes += written;
-    }
-    // Truncate a dest that outlived the source (writes it absorbed before
-    // dying that were since truncated away).
-    SetLengthRequest trunc;
-    trunc.handle = dst_handle;
-    trunc.length = src_len.length;
-    ASSIGN_OR_RETURN(net::Frame trunc_reply,
-                     call(dest, Op::kSetLength, trunc.Encode()));
-    (void)trunc_reply;
-  }
-  return Status::Ok();
+  return PayloadFrame(body.Encode());
 }
 
 net::Frame DfsServer::HandleCompound(const net::Frame& request) {
-  Result<CompoundRequest> req =
-      CompoundRequest::Decode(request.payload.span());
-  if (!req.ok()) {
-    return StatusFrame(req.status());
-  }
+  ASSIGN_OR_RETURN_FRAME(
+      CompoundRequest req, CompoundRequest::Decode(request.payload.span()));
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.compounds;
@@ -1553,7 +1016,7 @@ net::Frame DfsServer::HandleCompound(const net::Frame& request) {
   CompoundResponse out;
   uint64_t current_handle = 0;
   uint64_t current_deleg = 0;
-  for (const CompoundRequest::SubOp& sub : req->ops) {
+  for (const CompoundRequest::SubOp& sub : req.ops) {
     Op op = static_cast<Op>(sub.op);
     CompoundResponse::SubResult result;
     result.op = sub.op;
@@ -1619,52 +1082,31 @@ net::Frame DfsServer::HandleCompound(const net::Frame& request) {
       }
     }
   }
-  net::Frame response;
-  response.payload = out.Encode();
-  return response;
+  return PayloadFrame(out.Encode());
 }
 
 net::Frame DfsServer::HandleFileOp(Op op, const net::Frame& request,
                                    uint64_t except_deleg) {
   switch (op) {
     case Op::kGetAttr: {
-      Result<HandleRequest> req = HandleRequest::Decode(request.payload.span());
-      if (!req.ok()) {
-        return StatusFrame(req.status());
-      }
-      Result<sp<ServerFile>> file_result = FileForHandle(req->handle);
-      if (!file_result.ok()) {
-        return StatusFrame(file_result.status());
-      }
-      sp<ServerFile> file = *file_result;
+      ASSIGN_OR_RETURN_FRAME(
+          HandleRequest req, HandleRequest::Decode(request.payload.span()));
+      ASSIGN_OR_RETURN_FRAME(sp<ServerFile> file, FileForHandle(req.handle));
       // A write-delegation holder may have buffered attr writes — pull
       // them in before serving attributes to anyone else.
       RETURN_FRAME_IF_ERROR(
           RecallConflicting(file, except_deleg, AccessRights::kReadOnly));
-      Result<FileAttributes> attrs = file->under->Stat();
-      if (!attrs.ok()) {
-        return StatusFrame(attrs.status());
-      }
       GetAttrResponse body;
-      body.attrs = *attrs;
-      net::Frame response;
-      response.payload = body.Encode();
-      return response;
+      ASSIGN_OR_RETURN_FRAME(body.attrs, file->under->Stat());
+      return PayloadFrame(body.Encode());
     }
     case Op::kSetTimes: {
-      Result<SetTimesRequest> req =
-          SetTimesRequest::Decode(request.payload.span());
-      if (!req.ok()) {
-        return StatusFrame(req.status());
-      }
-      Result<sp<ServerFile>> file_result = FileForHandle(req->handle);
-      if (!file_result.ok()) {
-        return StatusFrame(file_result.status());
-      }
-      sp<ServerFile> file = *file_result;
+      ASSIGN_OR_RETURN_FRAME(
+          SetTimesRequest req, SetTimesRequest::Decode(request.payload.span()));
+      ASSIGN_OR_RETURN_FRAME(sp<ServerFile> file, FileForHandle(req.handle));
       RETURN_FRAME_IF_ERROR(
           RecallConflicting(file, except_deleg, AccessRights::kReadWrite));
-      Status st = file->under->SetTimes(req->atime_ns, req->mtime_ns);
+      Status st = file->under->SetTimes(req.atime_ns, req.mtime_ns);
       if (st.ok()) {
         std::lock_guard<std::mutex> lock(file->mutex);
         st = BroadcastAttrInvalidate(*file, 0);
@@ -1672,19 +1114,12 @@ net::Frame DfsServer::HandleFileOp(Op op, const net::Frame& request,
       return StatusFrame(st);
     }
     case Op::kSetLength: {
-      Result<SetLengthRequest> req =
-          SetLengthRequest::Decode(request.payload.span());
-      if (!req.ok()) {
-        return StatusFrame(req.status());
-      }
-      Result<sp<ServerFile>> file_result = FileForHandle(req->handle);
-      if (!file_result.ok()) {
-        return StatusFrame(file_result.status());
-      }
-      sp<ServerFile> file = *file_result;
+      ASSIGN_OR_RETURN_FRAME(SetLengthRequest req,
+                             SetLengthRequest::Decode(request.payload.span()));
+      ASSIGN_OR_RETURN_FRAME(sp<ServerFile> file, FileForHandle(req.handle));
       RETURN_FRAME_IF_ERROR(
           RecallConflicting(file, except_deleg, AccessRights::kReadWrite));
-      Status st = file->under->SetLength(req->length);
+      Status st = file->under->SetLength(req.length);
       if (st.ok()) {
         std::lock_guard<std::mutex> lock(file->mutex);
         st = BroadcastAttrInvalidate(*file, 0);
@@ -1692,37 +1127,19 @@ net::Frame DfsServer::HandleFileOp(Op op, const net::Frame& request,
       return StatusFrame(st);
     }
     case Op::kGetLength: {
-      Result<HandleRequest> req = HandleRequest::Decode(request.payload.span());
-      if (!req.ok()) {
-        return StatusFrame(req.status());
-      }
-      Result<sp<ServerFile>> file_result = FileForHandle(req->handle);
-      if (!file_result.ok()) {
-        return StatusFrame(file_result.status());
-      }
-      sp<ServerFile> file = *file_result;
+      ASSIGN_OR_RETURN_FRAME(
+          HandleRequest req, HandleRequest::Decode(request.payload.span()));
+      ASSIGN_OR_RETURN_FRAME(sp<ServerFile> file, FileForHandle(req.handle));
       RETURN_FRAME_IF_ERROR(
           RecallConflicting(file, except_deleg, AccessRights::kReadOnly));
-      Result<Offset> length = file->under->GetLength();
-      if (!length.ok()) {
-        return StatusFrame(length.status());
-      }
       GetLengthResponse body;
-      body.length = *length;
-      net::Frame response;
-      response.payload = body.Encode();
-      return response;
+      ASSIGN_OR_RETURN_FRAME(body.length, file->under->GetLength());
+      return PayloadFrame(body.Encode());
     }
     case Op::kRead: {
-      Result<ReadRequest> req = ReadRequest::Decode(request.payload.span());
-      if (!req.ok()) {
-        return StatusFrame(req.status());
-      }
-      Result<sp<ServerFile>> file_result = FileForHandle(req->handle);
-      if (!file_result.ok()) {
-        return StatusFrame(file_result.status());
-      }
-      sp<ServerFile> file = *file_result;
+      ASSIGN_OR_RETURN_FRAME(
+          ReadRequest req, ReadRequest::Decode(request.payload.span()));
+      ASSIGN_OR_RETURN_FRAME(sp<ServerFile> file, FileForHandle(req.handle));
       {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         ++stats_.remote_reads;
@@ -1730,40 +1147,22 @@ net::Frame DfsServer::HandleFileOp(Op op, const net::Frame& request,
       RETURN_FRAME_IF_ERROR(
           RecallConflicting(file, except_deleg, AccessRights::kReadOnly));
       RETURN_FRAME_IF_ERROR(EnsureBoundBelow(file));
-      Buffer out(req->length);
+      Buffer out(req.length);
       {
         std::lock_guard<std::mutex> lock(file->mutex);
-        Result<std::vector<BlockData>> recovered = file->engine.Acquire(
-            0, Range{req->offset, req->length}, AccessRights::kReadOnly);
-        if (!recovered.ok()) {
-          return StatusFrame(recovered.status());
-        }
-        PruneEvicted(*file);
-        Status pushed = PushRecovered(*file, *recovered);
-        if (!pushed.ok()) {
-          return StatusFrame(pushed);
-        }
+        RETURN_FRAME_IF_ERROR(RecallRemote(
+            *file, 0, Range{req.offset, req.length}, AccessRights::kReadOnly));
       }
-      Result<size_t> n = file->under->Read(req->offset, out.mutable_span());
-      if (!n.ok()) {
-        return StatusFrame(n.status());
-      }
+      ASSIGN_OR_RETURN_FRAME(size_t n,
+                             file->under->Read(req.offset, out.mutable_span()));
       ReadResponse body;
-      body.data = Buffer(out.subspan(0, *n));
-      net::Frame response;
-      response.payload = body.Encode();
-      return response;
+      body.data = Buffer(out.subspan(0, n));
+      return PayloadFrame(body.Encode());
     }
     case Op::kWrite: {
-      Result<WriteRequest> req = WriteRequest::Decode(request.payload.span());
-      if (!req.ok()) {
-        return StatusFrame(req.status());
-      }
-      Result<sp<ServerFile>> file_result = FileForHandle(req->handle);
-      if (!file_result.ok()) {
-        return StatusFrame(file_result.status());
-      }
-      sp<ServerFile> file = *file_result;
+      ASSIGN_OR_RETURN_FRAME(
+          WriteRequest req, WriteRequest::Decode(request.payload.span()));
+      ASSIGN_OR_RETURN_FRAME(sp<ServerFile> file, FileForHandle(req.handle));
       {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         ++stats_.remote_writes;
@@ -1776,103 +1175,61 @@ net::Frame DfsServer::HandleFileOp(Op op, const net::Frame& request,
       RETURN_FRAME_IF_ERROR(EnsureBoundBelow(file));
       {
         std::lock_guard<std::mutex> lock(file->mutex);
-        Result<std::vector<BlockData>> recovered = file->engine.Acquire(
-            0, Range{req->offset, req->data.size()},
-            AccessRights::kReadWrite);
-        if (!recovered.ok()) {
-          return StatusFrame(recovered.status());
-        }
-        PruneEvicted(*file);
-        Status pushed = PushRecovered(*file, *recovered);
-        if (!pushed.ok()) {
-          return StatusFrame(pushed);
-        }
-      }
-      Result<size_t> n = file->under->Write(req->offset, req->data.span());
-      if (!n.ok()) {
-        return StatusFrame(n.status());
-      }
-      {
-        std::lock_guard<std::mutex> lock(file->mutex);
-        Status st = BroadcastAttrInvalidate(*file, 0);
-        if (!st.ok()) {
-          return StatusFrame(st);
-        }
+        RETURN_FRAME_IF_ERROR(RecallRemote(*file, 0,
+                                           Range{req.offset, req.data.size()},
+                                           AccessRights::kReadWrite));
       }
       WriteResponse body;
-      body.written = *n;
-      net::Frame response;
-      response.payload = body.Encode();
-      return response;
+      ASSIGN_OR_RETURN_FRAME(body.written,
+                             file->under->Write(req.offset, req.data.span()));
+      {
+        std::lock_guard<std::mutex> lock(file->mutex);
+        RETURN_FRAME_IF_ERROR(BroadcastAttrInvalidate(*file, 0));
+      }
+      return PayloadFrame(body.Encode());
     }
     case Op::kSyncFile: {
-      Result<HandleRequest> req = HandleRequest::Decode(request.payload.span());
-      if (!req.ok()) {
-        return StatusFrame(req.status());
-      }
-      Result<sp<ServerFile>> file_result = FileForHandle(req->handle);
-      if (!file_result.ok()) {
-        return StatusFrame(file_result.status());
-      }
-      return StatusFrame((*file_result)->under->SyncFile());
+      ASSIGN_OR_RETURN_FRAME(
+          HandleRequest req, HandleRequest::Decode(request.payload.span()));
+      ASSIGN_OR_RETURN_FRAME(sp<ServerFile> file, FileForHandle(req.handle));
+      return StatusFrame(file->under->SyncFile());
     }
 
     case Op::kBindCache: {
-      Result<BindCacheRequest> req =
-          BindCacheRequest::Decode(request.payload.span());
-      if (!req.ok()) {
-        return StatusFrame(req.status());
-      }
-      Result<sp<ServerFile>> file_result = FileForHandle(req->handle);
-      if (!file_result.ok()) {
-        return StatusFrame(file_result.status());
-      }
-      sp<ServerFile> file = *file_result;
+      ASSIGN_OR_RETURN_FRAME(BindCacheRequest req,
+                             BindCacheRequest::Decode(request.payload.span()));
+      ASSIGN_OR_RETURN_FRAME(sp<ServerFile> file, FileForHandle(req.handle));
       RETURN_FRAME_IF_ERROR(EnsureBoundBelow(file));
       std::lock_guard<std::mutex> lock(file->mutex);
       uint64_t cache_id = file->next_cache_id++;
       RemoteCacheInfo info;
-      info.node = req->node;
-      info.service = req->service;
-      info.client_channel = req->client_channel;
-      info.is_fs_cache = req->is_fs_cache;
+      info.node = req.node;
+      info.service = req.service;
+      info.client_channel = req.client_channel;
+      info.is_fs_cache = req.is_fs_cache;
       info.incarnation = file->engine.AddCache(
           cache_id, std::make_shared<RemoteCacheProxy>(
                         this, info.node, info.service, info.client_channel));
       file->remote_caches[cache_id] = info;
       BindCacheResponse body;
       body.cache_id = cache_id;
-      net::Frame response;
-      response.payload = body.Encode();
-      return response;
+      return PayloadFrame(body.Encode());
     }
     case Op::kUnbindCache: {
-      Result<UnbindCacheRequest> req =
-          UnbindCacheRequest::Decode(request.payload.span());
-      if (!req.ok()) {
-        return StatusFrame(req.status());
-      }
-      Result<sp<ServerFile>> file_result = FileForHandle(req->handle);
-      if (!file_result.ok()) {
-        return StatusFrame(file_result.status());
-      }
-      sp<ServerFile> file = *file_result;
+      ASSIGN_OR_RETURN_FRAME(
+          UnbindCacheRequest req,
+          UnbindCacheRequest::Decode(request.payload.span()));
+      ASSIGN_OR_RETURN_FRAME(sp<ServerFile> file, FileForHandle(req.handle));
       std::lock_guard<std::mutex> lock(file->mutex);
-      file->engine.RemoveCache(req->cache_id);
-      file->remote_caches.erase(req->cache_id);
+      file->engine.RemoveCache(req.cache_id);
+      file->remote_caches.erase(req.cache_id);
       return OkFrame();
     }
     case Op::kPageIn:
     case Op::kPageInRange: {
-      Result<PageInRequest> req = PageInRequest::Decode(request.payload.span());
-      if (!req.ok()) {
-        return StatusFrame(req.status());
-      }
-      Result<sp<ServerFile>> file_result = FileForHandle(req->handle);
-      if (!file_result.ok()) {
-        return StatusFrame(file_result.status());
-      }
-      sp<ServerFile> file = *file_result;
+      ASSIGN_OR_RETURN_FRAME(
+          PageInRequest req, PageInRequest::Decode(request.payload.span()));
+      ASSIGN_OR_RETURN_FRAME(sp<ServerFile> file, FileForHandle(req.handle));
       bool range_op = op == Op::kPageInRange;
       {
         std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -1882,105 +1239,67 @@ net::Frame DfsServer::HandleFileOp(Op op, const net::Frame& request,
           ++stats_.remote_page_ins;
         }
       }
-      if (range_op && (req->offset % kPageSize != 0 || req->size == 0)) {
+      if (range_op && (req.offset % kPageSize != 0 || req.size == 0)) {
         return StatusFrame(ErrInvalidArgument("malformed page-in-range"));
       }
-      AccessRights access = req->write_access ? AccessRights::kReadWrite
+      AccessRights access = req.write_access ? AccessRights::kReadWrite
                                               : AccessRights::kReadOnly;
       RETURN_FRAME_IF_ERROR(RecallConflicting(file, except_deleg, access));
       RETURN_FRAME_IF_ERROR(EnsureBoundBelow(file));
       std::lock_guard<std::mutex> lock(file->mutex);
       // Fence page-ins from evicted cache ids: the client must re-register
       // (rebind) before it may fault pages again.
-      if (!file->engine.HasCache(req->cache_id)) {
-        {
-          std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-          ++stats_.stale_fenced;
-        }
-        flight::Record(flight::Severity::kError, "dfs", "stale fence page_in",
-                       req->cache_id, file->handle);
-        return StatusFrame(ErrStale("page-in from evicted cache id " +
-                                    std::to_string(req->cache_id)));
+      if (!file->engine.HasCache(req.cache_id)) {
+        return FenceStale(*file, req.cache_id, /*page_out=*/false);
       }
       // Clamp the range at EOF before touching the lower pager: a striped
       // client computes extents from the *logical* length, so a sparse or
       // short stripe object legitimately sees requests at or past its own
       // end. An empty block list tells it to zero-fill.
       if (range_op) {
-        Result<Offset> length = file->under->GetLength();
-        if (!length.ok()) {
-          return StatusFrame(length.status());
+        ASSIGN_OR_RETURN_FRAME(Offset length, file->under->GetLength());
+        if (req.offset >= length) {
+          return PayloadFrame(PageInRangeResponse{}.Encode());
         }
-        if (req->offset >= *length) {
-          PageInRangeResponse body;
-          net::Frame response;
-          response.payload = body.Encode();
-          return response;
-        }
-        req->size = std::min<uint64_t>(req->size,
-                                       PageCeil(*length) - req->offset);
+        req.size = std::min<uint64_t>(req.size, PageCeil(length) - req.offset);
       }
       // One acquire covers the whole request, then one page_in against the
       // layer below — for kPageInRange this is the server-side mirror of
       // the client's fault clustering.
-      Result<std::vector<BlockData>> recovered = file->engine.Acquire(
-          req->cache_id, Range{req->offset, req->size}, access);
-      if (!recovered.ok()) {
-        return StatusFrame(recovered.status());
-      }
-      PruneEvicted(*file);
-      Status pushed = PushRecovered(*file, *recovered);
-      if (!pushed.ok()) {
-        return StatusFrame(pushed);
-      }
-      Result<sp<PagerObject>> pager = file->lower->pager();
-      if (!pager.ok()) {
-        return StatusFrame(pager.status());
-      }
-      Result<Buffer> data = (*pager)->PageIn(req->offset, req->size, access);
-      if (!data.ok()) {
-        return StatusFrame(data.status());
-      }
+      RETURN_FRAME_IF_ERROR(RecallRemote(
+          *file, req.cache_id, Range{req.offset, req.size}, access));
+      ASSIGN_OR_RETURN_FRAME(sp<PagerObject> pager, file->lower->pager());
+      ASSIGN_OR_RETURN_FRAME(Buffer data,
+                             pager->PageIn(req.offset, req.size, access));
       if (!range_op) {
         PageInResponse body;
-        body.data = std::move(*data);
-        net::Frame response;
-        response.payload = body.Encode();
-        return response;
+        body.data = std::move(data);
+        return PayloadFrame(body.Encode());
       }
       // The lower layer may clamp at EOF; ship whatever whole pages exist
       // as a block list so the client can take the contiguous prefix.
       PageInRangeResponse body;
-      Offset usable = PageFloor(data->size());
-      if (data->size() % kPageSize != 0) {
-        data->resize(PageCeil(data->size()));
-        usable = data->size();
+      Offset usable = PageFloor(data.size());
+      if (data.size() % kPageSize != 0) {
+        data.resize(PageCeil(data.size()));
+        usable = data.size();
       }
       body.blocks.reserve(usable / kPageSize);
       for (Offset off = 0; off < usable; off += kPageSize) {
         body.blocks.push_back(
-            BlockData{req->offset + off, Buffer(data->subspan(off, kPageSize))});
+            BlockData{req.offset + off, Buffer(data.subspan(off, kPageSize))});
       }
-      net::Frame response;
-      response.payload = body.Encode();
-      return response;
+      return PayloadFrame(body.Encode());
     }
     case Op::kPageOut:
     case Op::kWriteOut:
     case Op::kSyncPages: {
-      Result<PageOutRequest> req =
-          PageOutRequest::Decode(request.payload.span());
-      if (!req.ok()) {
-        return StatusFrame(req.status());
-      }
-      if (req->data.size() % kPageSize != 0) {
+      ASSIGN_OR_RETURN_FRAME(
+          PageOutRequest req, PageOutRequest::Decode(request.payload.span()));
+      if (req.data.size() % kPageSize != 0) {
         return StatusFrame(ErrInvalidArgument("malformed page-out"));
       }
-      Result<sp<ServerFile>> file_result = FileForHandle(req->handle);
-      if (!file_result.ok()) {
-        return StatusFrame(file_result.status());
-      }
-      sp<ServerFile> file = *file_result;
+      ASSIGN_OR_RETURN_FRAME(sp<ServerFile> file, FileForHandle(req.handle));
       {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         ++stats_.remote_page_outs;
@@ -1992,34 +1311,20 @@ net::Frame DfsServer::HandleFileOp(Op op, const net::Frame& request,
       // Fence stale page-outs before they touch the layer below: an evicted
       // holder's writer claim was already handed to someone else, so its
       // late write-back would clobber newer data.
-      auto rc = file->remote_caches.find(req->cache_id);
+      auto rc = file->remote_caches.find(req.cache_id);
       if (rc == file->remote_caches.end() ||
-          !file->engine.HasCache(req->cache_id)) {
-        {
-          std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-          ++stats_.stale_fenced;
-        }
-        flight::Record(flight::Severity::kError, "dfs",
-                       "stale fence page_out", req->cache_id, file->handle);
-        return StatusFrame(
-            ErrStale("page-out from evicted cache id " +
-                     std::to_string(req->cache_id)));
+          !file->engine.HasCache(req.cache_id)) {
+        return FenceStale(*file, req.cache_id, /*page_out=*/true);
       }
-      Result<sp<PagerObject>> pager = file->lower->pager();
-      if (!pager.ok()) {
-        return StatusFrame(pager.status());
-      }
-      Status st = (*pager)->Sync(req->offset, req->data.span());
-      if (!st.ok()) {
-        return StatusFrame(st);
-      }
+      ASSIGN_OR_RETURN_FRAME(sp<PagerObject> pager, file->lower->pager());
+      RETURN_FRAME_IF_ERROR(pager->Sync(req.offset, req.data.span()));
       if (op == Op::kPageOut) {
-        file->engine.ReleaseDropped(req->cache_id,
-                                    Range{req->offset, req->data.size()},
+        file->engine.ReleaseDropped(req.cache_id,
+                                    Range{req.offset, req.data.size()},
                                     rc->second.incarnation);
       } else if (op == Op::kWriteOut) {
-        file->engine.ReleaseDowngraded(req->cache_id,
-                                       Range{req->offset, req->data.size()},
+        file->engine.ReleaseDowngraded(req.cache_id,
+                                       Range{req.offset, req.data.size()},
                                        rc->second.incarnation);
       }
       return OkFrame();
@@ -2128,27 +1433,13 @@ void DfsServer::CollectStats(const metrics::StatsEmitter& emit) const {
   emit("delegations_expired", stats_.delegations_expired);
   emit("deleg_fenced", stats_.deleg_fenced);
   emit("grace_rejects", stats_.grace_rejects);
-  emit("stripe_maps_served", stats_.stripe_maps_served);
-  emit("stripe_objects_created", stats_.stripe_objects_created);
-  emit("stripe_replicas_marked_stale", stats_.stripe_replicas_marked_stale);
-  emit("stripe_stale_reports", stats_.stripe_stale_reports);
-  emit("stripe_rebuilds", stats_.stripe_rebuilds);
-  emit("stripe_rebuild_bytes", stats_.stripe_rebuild_bytes);
   emit("slow_ops", stats_.slow_ops);
   emit("health_scrapes", stats_.health_scrapes);
   emit("stats_scrapes", stats_.stats_scrapes);
 }
 
 bool DfsServer::CheckCoherencyInvariants() {
-  std::vector<sp<ServerFile>> files;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    files.reserve(files_by_handle_.size());
-    for (const auto& [handle, file] : files_by_handle_) {
-      files.push_back(file);
-    }
-  }
-  for (const sp<ServerFile>& file : files) {
+  for (const sp<ServerFile>& file : AllFiles()) {
     std::lock_guard<std::mutex> lock(file->mutex);
     if (!file->engine.CheckInvariants() ||
         !file->deleg_engine.CheckInvariants()) {
@@ -2159,16 +1450,8 @@ bool DfsServer::CheckCoherencyInvariants() {
 }
 
 CoherencyStats DfsServer::AggregateCoherencyStats() {
-  std::vector<sp<ServerFile>> files;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    files.reserve(files_by_handle_.size());
-    for (const auto& [handle, file] : files_by_handle_) {
-      files.push_back(file);
-    }
-  }
   CoherencyStats total;
-  for (const sp<ServerFile>& file : files) {
+  for (const sp<ServerFile>& file : AllFiles()) {
     std::lock_guard<std::mutex> lock(file->mutex);
     CoherencyStats s = file->engine.stats();
     total.flush_back_calls += s.flush_back_calls;

@@ -57,32 +57,6 @@ struct DfsServerOptions {
   // first on its node or delegations are not in use.
   uint64_t grace_ns = 0;
 
-  // Striped-cluster role (DESIGN.md §14). When `stripe_targets` is
-  // non-empty this server is a *metadata* server: it answers
-  // kGetStripeMap with this geometry, lazily creating the per-file stripe
-  // objects on the listed data servers. The data servers themselves are
-  // plain DfsServers (each over its own backing store) and need no
-  // configuration — they just see lookups/creates/page I/O on
-  // "stripe-<hash>" names at their root. Empty (default) = single-server
-  // DFS;
-  // kGetStripeMap answers kInvalidArgument.
-  struct StripeTarget {
-    std::string node;
-    std::string service;
-  };
-  uint64_t stripe_size = 4 * 4096;  // bytes per stripe unit (page multiple)
-  std::vector<StripeTarget> stripe_targets;
-  // Replica lanes per stripe (R, clamped to the target count). Replica r
-  // of stripe s lives on target (s + r) % width in that server's lane-r
-  // object ("<object>-r<r>"), at the same local offset as the primary —
-  // the lane-r object on target t is byte-identical to the lane-0 object
-  // on target (t - r) % width, which is what makes rebuild a whole-object
-  // copy. With R >= 2 a dead data server degrades its stripes (reads fail
-  // over to the peer replica, writes skip it and mark it stale) instead of
-  // failing them; R = 1 keeps the PR 8 pure-RAID-0 behavior, including
-  // "any unreachable target fails the map request".
-  uint32_t stripe_replicas = 2;
-
   // --- telemetry (DESIGN.md §16) ---
   // An op whose server-side dispatch takes at least this long (on the
   // server's clock) lands in the bounded slow-op ring and the flight
@@ -168,16 +142,34 @@ class DfsServer : public StackableFs,
   bool CheckCoherencyInvariants();
   CoherencyStats AggregateCoherencyStats();
 
-  // One pass of the background rebuild daemon (metadata role): for every
-  // striped file with stale replica targets, re-syncs each stale target's
-  // lane objects from a fresh peer (whole-object copy — the lane-r object
-  // on target t is byte-identical to the lane-r' object on target
-  // (t - r + r') % width) and clears the mark under a bumped, persisted
-  // map version. Returns the number of stale targets brought back fresh.
-  // Deterministic and idempotent, so tests and embedders drive it
-  // explicitly; it assumes the rebuilt files are quiesced (writes racing
-  // the copy can be missed — DESIGN.md §15).
-  Result<size_t> RunRebuildPass();
+ protected:
+  struct ServerFile;
+
+  DfsServer(const sp<net::Node>& node, net::Network* network,
+            std::string service, sp<StackableFs> under, Clock* clock,
+            const DfsServerOptions& options);
+
+  // Registers this server's protocol service on its node.
+  void Listen();
+
+  // The response frame for `st`: empty when OK, else its code + message.
+  static net::Frame StatusFrame(const Status& st);
+
+  // The striped metadata ops (kGetStripeMap, kReportStaleReplica). A plain
+  // file server holds no stripe geometry and answers kInvalidArgument, so
+  // a striped client falls back to the single-server path; StripeMds
+  // (stripe_mds.h) serves them.
+  virtual net::Frame HandleStripeOp(Op op, const net::Frame& request);
+  // Fills the role section of a kGetHealth reply. A plain file server
+  // keeps the HealthResponse defaults: the data role, no stripe geometry.
+  virtual void FillRoleHealth(HealthResponse&) {}
+
+  const sp<StackableFs>& under() const { return under_; }
+  // One sync protocol call from this server's node to a peer server.
+  Result<net::Frame> CallPeer(const std::string& to_node,
+                              const std::string& to_service,
+                              const net::Frame& request);
+  Result<sp<ServerFile>> FileForHandle(uint64_t handle);
 
  private:
   friend class DfsLocalFile;
@@ -206,13 +198,6 @@ class DfsServer : public StackableFs,
     uint64_t delegations_expired = 0;   // lapsed without recall or return
     uint64_t deleg_fenced = 0;   // stale returns fenced by incarnation
     uint64_t grace_rejects = 0;  // mutations bounced during the boot grace
-    uint64_t stripe_maps_served = 0;  // kGetStripeMap replies (metadata role)
-    uint64_t stripe_objects_created = 0;  // stripe objects ensured on data
-                                          // servers (first map of a file)
-    uint64_t stripe_replicas_marked_stale = 0;  // staleness marks applied
-    uint64_t stripe_stale_reports = 0;  // kReportStaleReplica frames served
-    uint64_t stripe_rebuilds = 0;       // stale targets re-synced + cleared
-    uint64_t stripe_rebuild_bytes = 0;  // bytes copied by rebuild passes
     uint64_t slow_ops = 0;              // ops over slow_op_threshold_ns
     uint64_t health_scrapes = 0;        // kGetHealth frames served
     uint64_t stats_scrapes = 0;         // kGetStats frames served
@@ -241,6 +226,8 @@ class DfsServer : public StackableFs,
     sp<class DelegationProxy> proxy;
   };
 
+ protected:
+  // One exported file. A role subclass reads only `path` and `under`.
   struct ServerFile {
     uint64_t handle = 0;
     std::string path;
@@ -259,9 +246,7 @@ class DfsServer : public StackableFs,
     std::mutex mutex;
   };
 
-  DfsServer(const sp<net::Node>& node, net::Network* network,
-            std::string service, sp<StackableFs> under, Clock* clock,
-            const DfsServerOptions& options);
+ private:
 
   // Protocol dispatch. Handle() wraps Dispatch() with the mutating-request
   // dedup window and stamps the boot epoch on every response. Compound
@@ -287,56 +272,8 @@ class DfsServer : public StackableFs,
   net::Frame HandleCompound(const net::Frame& request);
   net::Frame HandleOpen(const net::Frame& request);
   net::Frame HandleDelegReturn(const net::Frame& request);
-  net::Frame HandleGetStripeMap(const net::Frame& request);
-  net::Frame HandleReportStale(const net::Frame& request);
   net::Frame HandleGetStats(const net::Frame& request);
   net::Frame HandleGetHealth(const net::Frame& request);
-
-  // --- striped metadata role (DESIGN.md §15) ---
-
-  // Per-file replica staleness + map version, cached in memory and
-  // persisted in a sidecar file on the metadata store (so a restarted MDS
-  // re-derives it and the version stays monotonic).
-  struct StripeState {
-    uint64_t version = 1;
-    std::vector<bool> stale;  // by target index
-  };
-
-  // Effective replica count: stripe_replicas clamped to [1, width].
-  uint32_t StripeReplicaCount() const;
-
-  // Loads `path`'s stripe state (memory cache -> sidecar -> default);
-  // `stale` is sized to the target count.
-  StripeState LoadStripeState(const std::string& path);
-  // Persists + caches `state` for `path`. Best-effort: a failed sidecar
-  // write keeps the in-memory state authoritative for this boot.
-  void StoreStripeState(const std::string& path, const StripeState& state);
-  // The logical path recorded inside sidecar file `sidecar_name` on the
-  // metadata store ("" when unreadable). Lets a cold incumbent discover
-  // which files have stale targets without waiting for client traffic.
-  std::string ReadSidecarPath(const std::string& sidecar_name);
-  // Walks the metadata store's staleness sidecars and caches every file's
-  // stripe state, so a cold incumbent's view (rebuild pass, kGetHealth) is
-  // complete without waiting for client traffic. Local reads only.
-  void LoadAllSidecarStates();
-  // Marks target `t` stale for `path` unless it is the last fresh target
-  // (a cluster cannot serve from zero fresh replicas). Returns true when
-  // the state changed (mark applied + version bumped + persisted).
-  bool MarkReplicaStale(const std::string& path, size_t t);
-
-  // The lookup -> create -> re-lookup ladder ensuring one stripe object on
-  // one data server; returns its current handle.
-  Result<uint64_t> EnsureStripeObject(
-      const DfsServerOptions::StripeTarget& target, const std::string& name);
-
-  // Builds the full stripe map for `file`, ensuring every target's lane
-  // objects. With R >= 2 an unreachable target is marked stale and served
-  // with zero handles instead of failing the map.
-  Result<StripeMapResponse> BuildStripeMap(const sp<ServerFile>& file);
-
-  // Re-syncs every lane object of stale target `t` from a fresh peer.
-  Status RebuildTarget(const std::string& object_name, size_t t,
-                       const StripeState& state);
 
   // True while mutating ops are rejected after boot (options_.grace_ns).
   bool InGracePeriod() const;
@@ -360,7 +297,8 @@ class DfsServer : public StackableFs,
                         std::vector<std::pair<uint64_t, uint64_t>>* dirty_times);
 
   Result<sp<ServerFile>> FileForPath(const std::string& path);
-  Result<sp<ServerFile>> FileForHandle(uint64_t handle);
+  // A snapshot of every exported file, taken under mutex_.
+  std::vector<sp<ServerFile>> AllFiles();
   // Binds `file` to the file below unless already bound; called before
   // `file.mutex` is taken.
   Status EnsureBoundBelow(const sp<ServerFile>& file);
@@ -368,6 +306,16 @@ class DfsServer : public StackableFs,
   // Pushes dirty blocks recovered from remote caches down to the layer
   // below; `file.mutex` held.
   Status PushRecovered(ServerFile& file, const std::vector<BlockData>& blocks);
+
+  // Recalls `range` from the remote caches conflicting with `requester`
+  // (0 = a server-side op) and pushes the dirty blocks recovered down to
+  // the layer below; `file.mutex` held.
+  Status RecallRemote(ServerFile& file, uint64_t requester, Range range,
+                      AccessRights access);
+
+  // Counts and records page I/O from evicted cache id `cache_id` and
+  // returns its kStale reply.
+  net::Frame FenceStale(ServerFile& file, uint64_t cache_id, bool page_out);
 
   // Broadcasts an attribute invalidation to remote fs_caches; file.mutex
   // held.
@@ -391,11 +339,6 @@ class DfsServer : public StackableFs,
   // of mutating ops replay the stored response instead of re-executing
   // (exactly-once within this boot epoch).
   ReplyCache dedup_;
-
-  // Striped metadata role: per-file staleness state by path (see
-  // StripeState). Guarded by stripe_mutex_; never held across a wire call.
-  std::mutex stripe_mutex_;
-  std::map<std::string, StripeState> stripe_states_;
 
   mutable std::mutex stats_mutex_;
   Stats stats_;

@@ -33,6 +33,17 @@ bool StaleCode(ErrorCode code) {
   return code == ErrorCode::kStale || code == ErrorCode::kDeadObject;
 }
 
+// Failed rounds of a mutating fan-out before the client reports a
+// still-unreachable replica target stale to the metadata server, so the
+// write can complete degraded on the surviving replicas. The first failed
+// round is always retried plainly: one lost frame should not degrade the
+// cluster.
+constexpr uint32_t kDegradeAfterRounds = 2;
+
+StripeLayout LayoutOf(const StripeMapResponse& map) {
+  return StripeLayout(map.stripe_size, map.targets.size(), map.replicas);
+}
+
 }  // namespace
 
 uint64_t StripeRequestIdTable::IdFor(size_t extent, size_t target,
@@ -58,44 +69,6 @@ uint64_t StripeRequestIdTable::IdFor(size_t extent, size_t target,
   return id;
 }
 
-// ---- striping math (RAID-0) -----------------------------------------------
-
-std::vector<StripeExtent> ComputeStripeExtents(uint64_t offset, uint64_t size,
-                                               uint64_t stripe_size,
-                                               size_t width) {
-  std::vector<StripeExtent> out;
-  if (size == 0 || stripe_size == 0 || width == 0) {
-    return out;
-  }
-  uint64_t end = offset + size;
-  for (uint64_t s = offset / stripe_size; s * stripe_size < end; ++s) {
-    uint64_t log_start = std::max(offset, s * stripe_size);
-    uint64_t log_end = std::min(end, (s + 1) * stripe_size);
-    StripeExtent ext;
-    ext.target = static_cast<size_t>(s % width);
-    ext.logical_offset = log_start;
-    ext.local_offset = (s / width) * stripe_size + (log_start - s * stripe_size);
-    ext.size = log_end - log_start;
-    out.push_back(ext);
-  }
-  return out;
-}
-
-uint64_t LocalLengthFor(size_t target, uint64_t length, uint64_t stripe_size,
-                        size_t width) {
-  if (length == 0 || stripe_size == 0 || width == 0) {
-    return 0;
-  }
-  uint64_t s_last = (length - 1) / stripe_size;
-  if (s_last < target) {
-    return 0;  // the file ends before this target's first stripe
-  }
-  // Highest stripe owned by `target` at or below s_last.
-  uint64_t s_own = s_last - ((s_last - target) % width);
-  uint64_t stripe_end = std::min(length, (s_own + 1) * stripe_size);
-  return (s_own / width) * stripe_size + (stripe_end - s_own * stripe_size);
-}
-
 // ---- the striped remote file ----------------------------------------------
 
 // A logical file whose pages live RAID-0 across N data servers. Reads and
@@ -109,12 +82,12 @@ class StripedRemoteFile : public File, public Servant {
                     StripeMapResponse map)
       : Servant(std::move(domain)), client_(std::move(client)),
         path_(std::move(path)), meta_handle_(meta_handle),
-        map_(std::move(map)), logical_length_(map_.length) {
-    map_.replicas = std::max<uint32_t>(map_.replicas, 1);
-    bindings_.assign(map_.targets.size() * map_.replicas, Binding{});
+        map_(std::move(map)), layout_(LayoutOf(map_)),
+        logical_length_(map_.length) {
+    bindings_.assign(map_.targets.size() * layout_.replicas(), Binding{});
     for (size_t t = 0; t < map_.targets.size(); ++t) {
-      for (size_t lane = 0; lane < map_.replicas; ++lane) {
-        bindings_[t * map_.replicas + lane].handle =
+      for (size_t lane = 0; lane < layout_.replicas(); ++lane) {
+        bindings_[BindingIndex(t, lane)].handle =
             lane < map_.targets[t].lane_handles.size()
                 ? map_.targets[t].lane_handles[lane]
                 : 0;
@@ -208,9 +181,9 @@ class StripedRemoteFile : public File, public Servant {
   friend class StripedPagerObject;
 
   // Per-(target, lane) client state: the lane object's handle from the
-  // map, plus the cache registration for page traffic. Indexed
-  // target * replicas + lane in `bindings_`. `bound_epoch` is the data
-  // server's boot epoch stamped on the kBindCache response; a data-path
+  // map, plus the cache registration for page traffic. Indexed by
+  // BindingIndex in `bindings_`. `bound_epoch` is the data server's boot
+  // epoch stamped on the kBindCache response; a data-path
   // completion under a different epoch means the server restarted between
   // the bind and the op, so the binding (and possibly the handle) is dead.
   struct Binding {
@@ -225,9 +198,8 @@ class StripedRemoteFile : public File, public Servant {
   // round plans against a single consistent geometry while refreshes land
   // between rounds.
   struct MapSnapshot {
-    uint64_t stripe_size = 0;
+    StripeLayout layout;
     uint64_t map_version = 0;
-    uint32_t replicas = 1;
     std::vector<StripeMapResponse::Target> targets;
   };
 
@@ -241,28 +213,34 @@ class StripedRemoteFile : public File, public Servant {
   // retries failed sub-ops (with a map refresh + rebind when a target
   // went stale) under the client's backoff budget.
   //
-  // Replica r of an extent whose primary is target p goes to target
-  // (p + r) % width, lane-r object, at the extent's (unchanged) local
-  // offset. `fan_all` sends every fresh replica and completes the extent
-  // when all of them acked (mutating fans and SyncFile); otherwise one
-  // fresh replica serves the extent, failing over within the round when
-  // it cannot (reads). `mutating` mints one dedup request id per
-  // (extent, target) — reused across retries so a duplicate never applies
-  // twice within a server boot, re-minted when a map refresh moves the
-  // extent to a different server. `bind_caches` establishes the per-lane
-  // cache registration first (page ops carry cache ids; byte ops do not).
+  // Replica r of an extent goes to the layout's ReplicaTarget, lane-r
+  // object, at the extent's (unchanged) local offset. `fan_all` sends
+  // every fresh replica and completes the extent when all of them acked
+  // (mutating fans and SyncFile); otherwise one fresh replica serves the
+  // extent, failing over within the round when it cannot (reads).
+  // `mutating` mints one dedup request id per (extent, target) — reused
+  // across retries so a duplicate never applies twice within a server
+  // boot, re-minted when a map refresh moves the extent to a different
+  // server. `bind_caches` establishes the per-lane cache registration
+  // first (page ops carry cache ids; byte ops do not).
   //
   // Degraded completion: a mutating fan about to skip a stale replica
   // confirms the skip with the metadata server first (kReportStaleReplica,
   // version-fenced) so a target a rebuild just revived rejoins the plan
   // instead of silently missing the write; targets that keep failing are
-  // reported stale after `degrade_after_rounds` rounds, letting the write
+  // reported stale after kDegradeAfterRounds rounds, letting the write
   // complete on the surviving replicas.
   Status FanExtents(const std::vector<StripeExtent>& exts, bool mutating,
                     bool bind_caches, bool fan_all, const BuildFrame& build,
                     const ConsumeFrame& consume);
 
   MapSnapshot SnapshotMap();
+  // The geometry of the map held now.
+  StripeLayout CurrentLayout();
+  // (target, lane)'s slot in `bindings_`; mutex_ held.
+  size_t BindingIndex(size_t target, size_t lane) const {
+    return target * layout_.replicas() + lane;
+  }
 
   // Fan-read of page-aligned [offset, offset+size) into `dest`, which
   // covers logical bytes [dest_base, dest_base + dest.size()) and has been
@@ -310,9 +288,7 @@ class StripedRemoteFile : public File, public Servant {
   // translates the (target, lane) object's local range to the logical
   // stripes it covers, flushes/downgrades them in every local cache, and
   // translates the dirty blocks back to local coordinates for the
-  // response. Lane r of target t holds the stripes whose primary is
-  // target (t - r) % width, so local stripe i maps to logical stripe
-  // i * width + (t - r) % width.
+  // response, through the layout's LogicalStripe.
   CbRecallResponse RecallLocal(Op op, Range local, size_t target,
                                size_t lane);
 
@@ -322,6 +298,7 @@ class StripedRemoteFile : public File, public Servant {
 
   std::mutex mutex_;  // never held across a wire call
   StripeMapResponse map_;
+  StripeLayout layout_;  // map_'s geometry
   uint64_t logical_length_ = 0;
   std::vector<Binding> bindings_;
   uint64_t pager_key_ = 0;  // minted on first local Bind
@@ -393,12 +370,12 @@ Result<sp<CacheRights>> StripedRemoteFile::Bind(const sp<CacheManager>& caller,
 
 StripedRemoteFile::MapSnapshot StripedRemoteFile::SnapshotMap() {
   std::lock_guard<std::mutex> lock(mutex_);
-  MapSnapshot snap;
-  snap.stripe_size = map_.stripe_size;
-  snap.map_version = map_.map_version;
-  snap.replicas = std::max<uint32_t>(map_.replicas, 1);
-  snap.targets = map_.targets;
-  return snap;
+  return MapSnapshot{layout_, map_.map_version, map_.targets};
+}
+
+StripeLayout StripedRemoteFile::CurrentLayout() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return layout_;
 }
 
 Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
@@ -425,7 +402,7 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
     std::set<size_t> failed_targets;
 
     MapSnapshot snap = SnapshotMap();
-    size_t width = snap.targets.size();
+    const StripeLayout& layout = snap.layout;
 
     // A mutating fan about to skip a stale replica confirms the skip with
     // the metadata server first: if a rebuild revived the target since
@@ -433,14 +410,14 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
     // the plan below, and the write reaches it. Without this a write
     // issued under the older map would silently miss the revived replica.
     // When client and server agree the report is a convergent no-op.
-    if (mutating && snap.replicas > 1) {
+    if (mutating && layout.replicas() > 1) {
       bool replanned = false;
       for (size_t i = 0; i < exts.size(); ++i) {
         if (done[i]) {
           continue;
         }
-        for (size_t r = 0; r < snap.replicas; ++r) {
-          size_t t = (exts[i].target + r) % width;
+        for (size_t r = 0; r < layout.replicas(); ++r) {
+          size_t t = layout.ReplicaTarget(exts[i].target, r);
           if (snap.targets[t].stale && !reported.count(t)) {
             reported.insert(t);
             if (ReportStale(t, snap.map_version).ok()) {
@@ -451,7 +428,6 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
       }
       if (replanned) {
         snap = SnapshotMap();
-        width = snap.targets.size();
       }
     }
 
@@ -473,7 +449,7 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
       }
       {
         std::lock_guard<std::mutex> lock(mutex_);
-        size_t idx = t * std::max<uint32_t>(map_.replicas, 1) + lane;
+        size_t idx = BindingIndex(t, lane);
         if (idx >= bindings_.size()) {
           return ErrTimedOut("stripe binding out of range");
         }
@@ -505,7 +481,7 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
 
     // Submits extent i's replica lane r; false when the bind failed.
     auto submit = [&](size_t i, size_t r) -> bool {
-      size_t t = (exts[i].target + r) % width;
+      size_t t = layout.ReplicaTarget(exts[i].target, r);
       Binding b;
       Status st = binding_for(t, r, &b);
       if (!st.ok()) {
@@ -538,8 +514,8 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
     // Submits a single-replica extent to its first untried fresh replica;
     // false when none is left this round.
     auto submit_single = [&](size_t i) -> bool {
-      for (size_t r = 0; r < snap.replicas; ++r) {
-        size_t t = (exts[i].target + r) % width;
+      for (size_t r = 0; r < layout.replicas(); ++r) {
+        size_t t = layout.ReplicaTarget(exts[i].target, r);
         if (!eligible(t, r) || tried[i].count(r)) {
           continue;
         }
@@ -557,8 +533,8 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
       }
       if (fan_all) {
         size_t eligible_count = 0;
-        for (size_t r = 0; r < snap.replicas; ++r) {
-          size_t t = (exts[i].target + r) % width;
+        for (size_t r = 0; r < layout.replicas(); ++r) {
+          size_t t = layout.ReplicaTarget(exts[i].target, r);
           if (!eligible(t, r)) {
             continue;
           }
@@ -668,8 +644,8 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
         }
         size_t eligible_count = 0;
         size_t have = 0;
-        for (size_t r = 0; r < snap.replicas; ++r) {
-          size_t t = (exts[i].target + r) % width;
+        for (size_t r = 0; r < layout.replicas(); ++r) {
+          size_t t = layout.ReplicaTarget(exts[i].target, r);
           if (!eligible(t, r)) {
             continue;
           }
@@ -680,7 +656,7 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
         }
         if (eligible_count > 0 && have == eligible_count) {
           done[i] = true;
-          if (mutating && eligible_count < snap.replicas) {
+          if (mutating && eligible_count < layout.replicas()) {
             client_->Bump(&StripedDfsClient::Stats::degraded_writes);
           }
         }
@@ -695,20 +671,14 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
       }
       return Status::Ok();
     }
-    if (retry.attempt >= client_->options_.max_retries) {
+    const DfsClientOptions& policy = client_->meta_->options();
+    if (retry.attempt >= policy.max_retries) {
       client_->Bump(&StripedDfsClient::Stats::retries_exhausted);
       flight::Record(flight::Severity::kError, "dfs_striped",
                      "fan-out retries exhausted", exts.size(), retry.attempt);
       return failure.ok() ? ErrTimedOut("striped fan-out gave up") : failure;
     }
-    uint64_t backoff = retry.next_backoff_ns == 0
-                           ? client_->options_.backoff_base_ns
-                           : retry.next_backoff_ns;
-    backoff = std::min(backoff, client_->options_.backoff_max_ns);
-    client_->clock_->SleepNs(backoff);
-    retry.next_backoff_ns =
-        std::min(backoff * 2, client_->options_.backoff_max_ns);
-    ++retry.attempt;
+    retry.BackOff(policy, client_->clock_);
     client_->Bump(&StripedDfsClient::Stats::data_retries);
     flight::Record(flight::Severity::kInfo, "dfs_striped", "fan-out retry",
                    retry.attempt, map_stale ? 1 : 0);
@@ -716,8 +686,8 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
       // Best effort: a failed refresh leaves the stale bindings in place
       // and the remaining attempts keep trying.
       (void)RefreshMap();
-    } else if (mutating && snap.replicas > 1 &&
-               retry.attempt >= client_->options_.degrade_after_rounds) {
+    } else if (mutating && layout.replicas() > 1 &&
+               retry.attempt >= kDegradeAfterRounds) {
       // Targets that failed plain retries get reported stale so the write
       // can complete degraded; the MDS refuses to strand the last fresh
       // replica set, so a total outage keeps retrying instead.
@@ -738,7 +708,7 @@ Status StripedRemoteFile::EnsureBound(size_t target, size_t lane,
   uint64_t recall_key;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    size_t idx = target * std::max<uint32_t>(map_.replicas, 1) + lane;
+    size_t idx = BindingIndex(target, lane);
     if (idx >= bindings_.size()) {
       return ErrTimedOut("stripe binding out of range");
     }
@@ -760,7 +730,7 @@ Status StripedRemoteFile::EnsureBound(size_t target, size_t lane,
         std::dynamic_pointer_cast<StripedRemoteFile>(shared_from_this());
     client_->RegisterRecallRoute(recall_key, self, target, lane);
     std::lock_guard<std::mutex> lock(mutex_);
-    size_t idx = target * std::max<uint32_t>(map_.replicas, 1) + lane;
+    size_t idx = BindingIndex(target, lane);
     if (idx < bindings_.size()) {
       bindings_[idx].recall_key = recall_key;
     }
@@ -782,7 +752,7 @@ Status StripedRemoteFile::EnsureBound(size_t target, size_t lane,
   ASSIGN_OR_RETURN(BindCacheResponse bound,
                    BindCacheResponse::Decode(response.payload.span()));
   std::lock_guard<std::mutex> lock(mutex_);
-  size_t idx = target * std::max<uint32_t>(map_.replicas, 1) + lane;
+  size_t idx = BindingIndex(target, lane);
   if (idx >= bindings_.size()) {
     return ErrTimedOut("stripe binding out of range");
   }
@@ -838,7 +808,10 @@ Status StripedRemoteFile::ReportStale(size_t target, uint64_t map_version) {
 
 Status StripedRemoteFile::InstallMap(StripeMapResponse fresh) {
   client_->Bump(&StripedDfsClient::Stats::map_fetches);
-  fresh.replicas = std::max<uint32_t>(fresh.replicas, 1);
+  if (fresh.targets.empty() || fresh.stripe_size == 0) {
+    return ErrCorrupted("stripe map without targets");
+  }
+  StripeLayout layout = LayoutOf(fresh);
   std::lock_guard<std::mutex> lock(mutex_);
   if (fresh.map_version < map_.map_version) {
     // The version fence: a raced or replayed older map must not resurrect
@@ -846,21 +819,20 @@ Status StripedRemoteFile::InstallMap(StripeMapResponse fresh) {
     client_->Bump(&StripedDfsClient::Stats::maps_fenced);
     return Status::Ok();
   }
-  uint32_t held_replicas = std::max<uint32_t>(map_.replicas, 1);
-  if (fresh.targets.size() != map_.targets.size() ||
-      fresh.replicas != held_replicas ||
-      bindings_.size() != fresh.targets.size() * fresh.replicas) {
+  if (layout.width() != layout_.width() ||
+      layout.replicas() != layout_.replicas()) {
     // Geometry is fixed per metadata-server configuration; a different
     // width or replication factor means the file was recreated under a
     // different topology.
-    bindings_.assign(fresh.targets.size() * fresh.replicas, Binding{});
+    bindings_.assign(layout.width() * layout.replicas(), Binding{});
   }
+  layout_ = layout;
   for (size_t t = 0; t < fresh.targets.size(); ++t) {
-    for (size_t lane = 0; lane < fresh.replicas; ++lane) {
+    for (size_t lane = 0; lane < layout_.replicas(); ++lane) {
       uint64_t handle = lane < fresh.targets[t].lane_handles.size()
                             ? fresh.targets[t].lane_handles[lane]
                             : 0;
-      Binding& b = bindings_[t * fresh.replicas + lane];
+      Binding& b = bindings_[BindingIndex(t, lane)];
       if (b.handle != handle) {
         b.handle = handle;
         b.cache_id = 0;  // minted by an instance that is gone
@@ -877,7 +849,7 @@ void StripedRemoteFile::InvalidateBinding(size_t target, size_t lane) {
   bool had_binding = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    size_t idx = target * std::max<uint32_t>(map_.replicas, 1) + lane;
+    size_t idx = BindingIndex(target, lane);
     if (idx >= bindings_.size()) {
       return;
     }
@@ -928,15 +900,7 @@ Status StripedRemoteFile::MetaSetLength(uint64_t length) {
 Status StripedRemoteFile::FanPageInto(uint64_t offset, uint64_t size,
                                       MutableByteSpan dest, uint64_t dest_base,
                                       AccessRights access) {
-  uint64_t stripe_size;
-  size_t width;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stripe_size = map_.stripe_size;
-    width = map_.targets.size();
-  }
-  std::vector<StripeExtent> exts =
-      ComputeStripeExtents(offset, size, stripe_size, width);
+  std::vector<StripeExtent> exts = CurrentLayout().Extents(offset, size);
   bool write_access = access == AccessRights::kReadWrite;
   return FanExtents(
       exts, /*mutating=*/false, /*bind_caches=*/true, /*fan_all=*/false,
@@ -979,15 +943,8 @@ Status StripedRemoteFile::FanPageInto(uint64_t offset, uint64_t size,
 }
 
 Status StripedRemoteFile::FanPageWrite(Op op, uint64_t offset, ByteSpan data) {
-  uint64_t stripe_size;
-  size_t width;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stripe_size = map_.stripe_size;
-    width = map_.targets.size();
-  }
   std::vector<StripeExtent> exts =
-      ComputeStripeExtents(offset, data.size(), stripe_size, width);
+      CurrentLayout().Extents(offset, data.size());
   RETURN_IF_ERROR(FanExtents(
       exts, /*mutating=*/true, /*bind_caches=*/true, /*fan_all=*/true,
       [&](const StripeExtent& ext, const Binding& b) {
@@ -1047,16 +1004,9 @@ Result<size_t> StripedRemoteFile::Write(Offset offset, ByteSpan data) {
     if (data.empty()) {
       return size_t{0};
     }
-    uint64_t stripe_size;
-    size_t width;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stripe_size = map_.stripe_size;
-      width = map_.targets.size();
-    }
     client_->Bump(&StripedDfsClient::Stats::stripe_writes);
     std::vector<StripeExtent> exts =
-        ComputeStripeExtents(offset, data.size(), stripe_size, width);
+        CurrentLayout().Extents(offset, data.size());
     RETURN_IF_ERROR(FanExtents(
         exts, /*mutating=*/true, /*bind_caches=*/false, /*fan_all=*/true,
         [&](const StripeExtent& ext, const Binding& b) {
@@ -1091,16 +1041,10 @@ Result<size_t> StripedRemoteFile::Write(Offset offset, ByteSpan data) {
 Status StripedRemoteFile::SetLength(Offset length) {
   return InDomain([&]() -> Status {
     RETURN_IF_ERROR(MetaSetLength(length));
-    uint64_t stripe_size;
-    size_t width;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stripe_size = map_.stripe_size;
-      width = map_.targets.size();
-    }
+    StripeLayout layout = CurrentLayout();
     // One kSetLength per target, as a degenerate one-extent-per-target fan.
-    std::vector<StripeExtent> per_target(width);
-    for (size_t k = 0; k < width; ++k) {
+    std::vector<StripeExtent> per_target(layout.width());
+    for (size_t k = 0; k < per_target.size(); ++k) {
       per_target[k].target = k;
     }
     RETURN_IF_ERROR(FanExtents(
@@ -1109,7 +1053,7 @@ Status StripedRemoteFile::SetLength(Offset length) {
         [&](const StripeExtent& ext, const Binding& b) {
           SetLengthRequest body;
           body.handle = b.handle;
-          body.length = LocalLengthFor(ext.target, length, stripe_size, width);
+          body.length = layout.LocalLength(ext.target, length);
           net::Frame frame;
           frame.type = static_cast<uint32_t>(Op::kSetLength);
           frame.payload = body.Encode();
@@ -1124,13 +1068,8 @@ Status StripedRemoteFile::SetLength(Offset length) {
 
 Status StripedRemoteFile::SyncFile() {
   return InDomain([&]() -> Status {
-    size_t width;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      width = map_.targets.size();
-    }
-    std::vector<StripeExtent> per_target(width);
-    for (size_t k = 0; k < width; ++k) {
+    std::vector<StripeExtent> per_target(CurrentLayout().width());
+    for (size_t k = 0; k < per_target.size(); ++k) {
       per_target[k].target = k;
     }
     RETURN_IF_ERROR(FanExtents(
@@ -1162,28 +1101,20 @@ Status StripedRemoteFile::SyncFile() {
 CbRecallResponse StripedRemoteFile::RecallLocal(Op op, Range local,
                                                 size_t target, size_t lane) {
   client_->Bump(&StripedDfsClient::Stats::recalls_received);
-  uint64_t stripe_size;
-  size_t width;
-  uint64_t length;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stripe_size = map_.stripe_size;
-    width = map_.targets.size();
-    length = logical_length_;
-  }
+  std::unique_lock<std::mutex> lock(mutex_);
+  StripeLayout layout = layout_;
+  uint64_t length = logical_length_;
+  lock.unlock();
   CbRecallResponse out;
-  if (stripe_size == 0 || width == 0 || target >= width) {
+  uint64_t stripe_size = layout.stripe_size();
+  if (stripe_size == 0 || target >= layout.width()) {
     return out;
   }
-  // The lane-`lane` object on `target` mirrors the primary object of this
-  // base target; its stripes are the base target's stripes.
-  size_t base = (target + width - (lane % width)) % width;
   std::vector<PagerChannelTable::Channel> channels =
       local_channels_.AllChannels();
   // Bound the recall by the object's share of the file; Range::All() and
   // other huge ranges saturate instead of wrapping.
-  uint64_t local_len = LocalLengthFor(base, PageCeil(length), stripe_size,
-                                      width);
+  uint64_t local_len = layout.LocalLength(target, PageCeil(length), lane);
   uint64_t lo = std::min<uint64_t>(local.offset, local_len);
   uint64_t hi = std::min<uint64_t>(local.end(), local_len);
   for (uint64_t i = lo / stripe_size; i * stripe_size < hi; ++i) {
@@ -1192,8 +1123,7 @@ CbRecallResponse StripedRemoteFile::RecallLocal(Op op, Range local,
     if (seg_lo >= seg_hi) {
       continue;
     }
-    // Local stripe i of base target k is logical stripe i * width + k.
-    uint64_t s = i * width + base;
+    uint64_t s = layout.LogicalStripe(target, lane, i);
     Range logical{s * stripe_size + (seg_lo - i * stripe_size),
                   seg_hi - seg_lo};
     for (const auto& ch : channels) {
@@ -1226,9 +1156,9 @@ Result<sp<StripedDfsClient>> StripedDfsClient::Mount(
     const StripedDfsClientOptions& options) {
   // The metadata path is a full plain mount: naming, attrs, retry/backoff,
   // and the single-server fallback all come from it.
-  ASSIGN_OR_RETURN(sp<DfsClient> meta,
-                   DfsClient::Mount(node, network, server_node, service, clock,
-                                    options.meta));
+  ASSIGN_OR_RETURN(
+      sp<DfsClient> meta,
+      DfsClient::Mount(node, network, server_node, service, clock));
   std::string callback_service = UniqueStripedCallbackService();
   sp<StripedDfsClient> client(
       new StripedDfsClient(node, network, server_node, service,

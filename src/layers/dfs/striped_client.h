@@ -2,18 +2,18 @@
 // (DESIGN.md §14).
 //
 // A striped mount talks to TWO kinds of servers. The metadata server (a
-// DfsServer configured with stripe_targets) resolves paths, owns
-// attributes and the logical file length, and answers kGetStripeMap with
-// the file's striping geometry. The data servers are plain DfsServers,
-// each over its own backing store and coherency engine; they never see a
-// path the user typed — only the durable per-file stripe-object names the
-// metadata server ensures on them.
+// StripeMds, stripe_mds.h) resolves paths, owns attributes and the
+// logical file length, and answers kGetStripeMap with the file's striping
+// geometry. The data servers are plain DfsServers, each over its own
+// backing store and coherency engine; they never see a path the user
+// typed — only the durable per-file stripe-object names the metadata
+// server ensures on them.
 //
-// The client computes stripe ownership from the map (RAID-0: stripe s
-// lives on target s % width, at local offset (s / width) * stripe_size)
-// and fans page reads out as one kPageInRange per stripe extent over a
-// persistent tagged channel per data server, draining with WaitAny and
-// reassembling into the caller's buffer. Aggregate sequential-read
+// The client computes stripe ownership from the map's StripeLayout
+// (stripe_layout.h: RAID-0 with rotated replicas) and fans page reads out
+// as one kPageInRange per stripe extent over a persistent tagged channel
+// per data server, draining with WaitAny and reassembling into the
+// caller's buffer. Aggregate sequential-read
 // bandwidth therefore scales with stripe width: each data-server link has
 // its own pacing budget, and the extents on different servers overlap
 // their round trips. Writes fan out the same way (kWrite per stripe
@@ -28,16 +28,16 @@
 // resubmits just the failed extents. Other stripes keep serving
 // throughout.
 //
-// Replication (DESIGN.md §15): with R >= 2 replica lanes, replica r of
-// stripe s lives on target (s + r) % width in that server's lane-r object,
-// at the SAME local offset as the primary copy. Writes fan to every fresh
-// replica (per-(extent, target) dedup ids — see StripeRequestIdTable);
-// reads go to the first fresh replica and fail over per extent, so a dead
-// data server degrades its stripes instead of erroring them. Replicas a
-// target missed while down are marked stale at the metadata server (by
-// the MDS when the map ensure fails, or by this client reporting a write
-// it could not deliver) and excluded until a rebuild re-syncs them under a
-// bumped map version; refreshed maps older than the one held are fenced.
+// Replication (DESIGN.md §15): with R >= 2 replica lanes, each stripe
+// also lives in the lane objects of the R - 1 following targets. Writes
+// fan to every fresh replica (per-(extent, target) dedup ids — see
+// StripeRequestIdTable); reads go to the first fresh replica and fail
+// over per extent, so a dead data server degrades its stripes instead of
+// erroring them. Replicas a target missed while down are marked stale at
+// the metadata server (by the MDS when the map ensure fails, or by this
+// client reporting a write it could not deliver) and excluded until a
+// rebuild re-syncs them under a bumped map version; refreshed maps older
+// than the one held are fenced.
 
 #ifndef SPRINGFS_LAYERS_DFS_STRIPED_CLIENT_H_
 #define SPRINGFS_LAYERS_DFS_STRIPED_CLIENT_H_
@@ -46,53 +46,15 @@
 #include <vector>
 
 #include "src/layers/dfs/dfs_client.h"
+#include "src/layers/dfs/stripe_layout.h"
 
 namespace springfs::dfs {
 
 struct StripedDfsClientOptions {
-  // Retry policy for the striped data path (per fan-out, across all failed
-  // extents of an attempt). The metadata path uses meta.max_retries etc.
-  uint32_t max_retries = 4;
-  uint64_t backoff_base_ns = 1'000'000;
-  uint64_t backoff_max_ns = 50'000'000;
-
-  // Failed rounds of a mutating fan-out before the client reports a
-  // still-unreachable replica target stale to the metadata server (so the
-  // write can complete degraded on the surviving replicas). The first
-  // failed round is always retried plainly — one lost frame should not
-  // degrade the cluster.
-  uint32_t degrade_after_rounds = 2;
-
   // Tuning for the per-data-server channels (window, pacing, RACK/RTO).
+  // Retries and backoff follow the metadata mount's DfsClientOptions.
   net::ChannelOptions data_channel;
-
-  // Options for the inner metadata-path client.
-  DfsClientOptions meta;
 };
-
-// One computed stripe extent of a logical request: the unit of fan-out
-// (one kPageInRange / kWrite / kPageOut submission). Exposed for unit
-// tests of the striping math.
-struct StripeExtent {
-  size_t target = 0;         // index into the map's target list
-  uint64_t logical_offset = 0;
-  uint64_t local_offset = 0;  // offset within the target's stripe object
-  uint64_t size = 0;
-};
-
-// Splits [offset, offset+size) into per-stripe-unit extents for a RAID-0
-// layout of `width` targets with `stripe_size`-byte units.
-std::vector<StripeExtent> ComputeStripeExtents(uint64_t offset, uint64_t size,
-                                               uint64_t stripe_size,
-                                               size_t width);
-
-// The number of bytes of a logical `length`-byte file stored on target
-// `target` (the stripe object's expected local length). With replication,
-// the lane-r object on target t is byte-identical to the lane-0 object on
-// target (t - r) % width, so its local length is
-// LocalLengthFor((t - r) % width, ...).
-uint64_t LocalLengthFor(size_t target, uint64_t length, uint64_t stripe_size,
-                        size_t width);
 
 // Mints the per-(extent, target) dedup request ids of one mutating
 // fan-out. An id is minted on the first submission of an extent to a

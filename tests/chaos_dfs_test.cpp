@@ -29,6 +29,7 @@
 #include "src/layers/dfs/cluster_stats.h"
 #include "src/layers/dfs/dfs_client.h"
 #include "src/layers/dfs/dfs_server.h"
+#include "src/layers/dfs/stripe_mds.h"
 #include "src/layers/dfs/striped_client.h"
 #include "src/layers/sfs/sfs.h"
 #include "src/obs/flight_recorder.h"
@@ -583,10 +584,10 @@ struct StripedChaosWorld {
   std::vector<Sfs> stores;  // data stores, then the metadata store
   sp<dfs::DfsServer> data_servers[kStripedWidth];
   std::vector<sp<dfs::DfsServer>> retired_servers;
-  sp<dfs::DfsServer> mds;
+  sp<dfs::StripeMds> mds;
   sp<dfs::StripedDfsClient> client;
   sp<File> file;
-  dfs::DfsServerOptions mds_options;
+  dfs::StripeMdsConfig mds_config;
 
   // The single-copy sweep pins replicas = 1: it asserts PR-8 semantics
   // (a dead target's stripes fail, recovery is rebind-after-restart). The
@@ -596,8 +597,8 @@ struct StripedChaosWorld {
     client_node = network->AddNode("client");
     verifier_node = network->AddNode("verifier");
     mds_node = network->AddNode("mds");
-    mds_options.stripe_size = kPageSize;
-    mds_options.stripe_replicas = replicas;
+    mds_config.stripe_size = kPageSize;
+    mds_config.stripe_replicas = replicas;
     for (int k = 0; k < kStripedWidth; ++k) {
       data_nodes[k] = network->AddNode("data" + std::to_string(k));
       devices.push_back(
@@ -606,13 +607,13 @@ struct StripedChaosWorld {
                                   &clock));
       data_servers[k] = *dfs::DfsServer::Create(
           data_nodes[k], network.get(), "dfs-data", stores[k].root, &clock);
-      mds_options.stripe_targets.push_back(
+      mds_config.stripe_targets.push_back(
           {data_nodes[k]->name(), "dfs-data"});
     }
     devices.push_back(std::make_unique<MemBlockDevice>(ufs::kBlockSize, 4096));
     stores.push_back(*CreateSfs(devices.back().get(), SfsOptions{}, &clock));
-    mds = *dfs::DfsServer::Create(mds_node, network.get(), "dfs-meta",
-                                  stores.back().root, &clock, mds_options);
+    mds = *dfs::StripeMds::Create(mds_node, network.get(), "dfs-meta",
+                                  stores.back().root, &clock, mds_config);
     client = *dfs::StripedDfsClient::Mount(client_node, network.get(), "mds",
                                            "dfs-meta", &clock);
     file = *client->CreateStriped("chaos");

@@ -7,12 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/layers/dfs/cluster_stats.h"
 #include "src/layers/dfs/dfs_client.h"
 #include "src/layers/dfs/dfs_server.h"
+#include "src/layers/dfs/stripe_mds.h"
 #include "src/layers/dfs/striped_client.h"
 #include "src/layers/sfs/sfs.h"
 #include "src/support/rng.h"
@@ -21,20 +25,20 @@
 namespace springfs {
 namespace {
 
-using dfs::ComputeStripeExtents;
 using dfs::DfsClient;
 using dfs::DfsServer;
-using dfs::LocalLengthFor;
 using dfs::StripedDfsClient;
 using dfs::StripeExtent;
+using dfs::StripeLayout;
 using dfs::StripeMapResponse;
+using dfs::StripeMds;
 
 constexpr uint64_t kSS = kPageSize;  // one-page stripes: every page moves
 
 // --- striping math ---
 
 TEST(StripeMath, AlignedExtentsRoundRobin) {
-  std::vector<StripeExtent> exts = ComputeStripeExtents(0, 3 * kSS, kSS, 2);
+  std::vector<StripeExtent> exts = StripeLayout(kSS, 2).Extents(0, 3 * kSS);
   ASSERT_EQ(exts.size(), 3u);
   EXPECT_EQ(exts[0].target, 0u);
   EXPECT_EQ(exts[0].logical_offset, 0u);
@@ -50,7 +54,7 @@ TEST(StripeMath, AlignedExtentsRoundRobin) {
 TEST(StripeMath, UnalignedRequestSplitsAtStripeBoundaries) {
   // [kSS/2, kSS/2 + kSS) straddles stripes 0 and 1.
   std::vector<StripeExtent> exts =
-      ComputeStripeExtents(kSS / 2, kSS, kSS, 2);
+      StripeLayout(kSS, 2).Extents(kSS / 2, kSS);
   ASSERT_EQ(exts.size(), 2u);
   EXPECT_EQ(exts[0].target, 0u);
   EXPECT_EQ(exts[0].logical_offset, kSS / 2);
@@ -63,7 +67,7 @@ TEST(StripeMath, UnalignedRequestSplitsAtStripeBoundaries) {
 }
 
 TEST(StripeMath, WidthOneDegeneratesToOneExtentPerStripeUnit) {
-  std::vector<StripeExtent> exts = ComputeStripeExtents(0, 2 * kSS, kSS, 1);
+  std::vector<StripeExtent> exts = StripeLayout(kSS, 1).Extents(0, 2 * kSS);
   ASSERT_EQ(exts.size(), 2u);
   EXPECT_EQ(exts[0].target, 0u);
   EXPECT_EQ(exts[1].target, 0u);
@@ -71,29 +75,30 @@ TEST(StripeMath, WidthOneDegeneratesToOneExtentPerStripeUnit) {
 }
 
 TEST(StripeMath, EmptyRequestYieldsNoExtents) {
-  EXPECT_TRUE(ComputeStripeExtents(123, 0, kSS, 4).empty());
+  EXPECT_TRUE(StripeLayout(kSS, 4).Extents(123, 0).empty());
 }
 
 TEST(StripeMath, LocalLengths) {
+  StripeLayout two(kSS, 2);
   // Empty file: nothing anywhere.
-  EXPECT_EQ(LocalLengthFor(0, 0, kSS, 2), 0u);
-  EXPECT_EQ(LocalLengthFor(1, 0, kSS, 2), 0u);
+  EXPECT_EQ(two.LocalLength(0, 0), 0u);
+  EXPECT_EQ(two.LocalLength(1, 0), 0u);
   // One byte: only target 0's first stripe unit exists.
-  EXPECT_EQ(LocalLengthFor(0, 1, kSS, 2), 1u);
-  EXPECT_EQ(LocalLengthFor(1, 1, kSS, 2), 0u);
+  EXPECT_EQ(two.LocalLength(0, 1), 1u);
+  EXPECT_EQ(two.LocalLength(1, 1), 0u);
   // 2.5 stripe units over width 2: target 0 holds stripes {0, 2} (one
   // full + the half tail), target 1 holds stripe 1 (full).
-  EXPECT_EQ(LocalLengthFor(0, 2 * kSS + kSS / 2, kSS, 2), kSS + kSS / 2);
-  EXPECT_EQ(LocalLengthFor(1, 2 * kSS + kSS / 2, kSS, 2), kSS);
+  EXPECT_EQ(two.LocalLength(0, 2 * kSS + kSS / 2), kSS + kSS / 2);
+  EXPECT_EQ(two.LocalLength(1, 2 * kSS + kSS / 2), kSS);
   // 5 full units over width 2: 3 on target 0, 2 on target 1.
-  EXPECT_EQ(LocalLengthFor(0, 5 * kSS, kSS, 2), 3 * kSS);
-  EXPECT_EQ(LocalLengthFor(1, 5 * kSS, kSS, 2), 2 * kSS);
+  EXPECT_EQ(two.LocalLength(0, 5 * kSS), 3 * kSS);
+  EXPECT_EQ(two.LocalLength(1, 5 * kSS), 2 * kSS);
   // The per-target lengths always sum back to the logical length.
   for (uint64_t length : {uint64_t{1}, kSS - 1, kSS, 7 * kSS + 13}) {
     for (size_t width : {size_t{1}, size_t{2}, size_t{4}}) {
       uint64_t sum = 0;
       for (size_t k = 0; k < width; ++k) {
-        sum += LocalLengthFor(k, length, kSS, width);
+        sum += StripeLayout(kSS, width).LocalLength(k, length);
       }
       EXPECT_EQ(sum, length) << "length " << length << " width " << width;
     }
@@ -110,7 +115,7 @@ TEST(StripeMath, ExtentsCoverExactlyOnce) {
     uint64_t offset = rng.Below(10 * ss);
     uint64_t size = 1 + rng.Below(6 * ss);
     std::vector<StripeExtent> exts =
-        ComputeStripeExtents(offset, size, ss, width);
+        StripeLayout(ss, width).Extents(offset, size);
     uint64_t expect = offset;
     for (const StripeExtent& e : exts) {
       EXPECT_EQ(e.logical_offset, expect);
@@ -124,6 +129,61 @@ TEST(StripeMath, ExtentsCoverExactlyOnce) {
     }
     EXPECT_EQ(expect, offset + size);
   }
+}
+
+TEST(StripeMath, ReplicaPlacementRoundTrips) {
+  // Property over every small geometry: replica targets and their inverse
+  // agree, each lane-r object holds exactly the bytes of its primary's
+  // lane-0 object, and the recall translation (local stripe -> logical
+  // stripe) inverts the extent mapping. Client recall and server rebuild
+  // both rely on these three facts.
+  constexpr uint64_t kUnit = 512;
+  for (size_t width = 1; width <= 5; ++width) {
+    for (uint32_t replicas = 1; replicas <= width; ++replicas) {
+      StripeLayout layout(kUnit, width, replicas);
+      ASSERT_EQ(layout.replicas(), replicas);
+      for (uint64_t length : {uint64_t{0}, uint64_t{1}, kUnit,
+                              (3 * width + 1) * kUnit + 7}) {
+        // Per (target, lane): the highest local byte the extents of
+        // [0, length) place in that lane object.
+        std::map<std::pair<size_t, size_t>, uint64_t> local_end;
+        for (const StripeExtent& e : layout.Extents(0, length)) {
+          uint64_t s = e.logical_offset / kUnit;
+          for (size_t r = 0; r < replicas; ++r) {
+            size_t t = layout.ReplicaTarget(e.target, r);
+            ASSERT_EQ(t, (s + r) % width);
+            ASSERT_EQ(layout.PrimaryOf(t, r), e.target);
+            ASSERT_EQ(layout.LogicalStripe(t, r, e.local_offset / kUnit), s)
+                << "width " << width << " lane " << r << " stripe " << s;
+            uint64_t& end = local_end[{t, r}];
+            end = std::max(end, e.local_offset + e.size);
+          }
+        }
+        for (size_t p = 0; p < width; ++p) {
+          for (size_t r = 0; r < replicas; ++r) {
+            size_t t = layout.ReplicaTarget(p, r);
+            EXPECT_EQ(layout.LocalLength(t, length, r),
+                      layout.LocalLength(p, length));
+            uint64_t placed = local_end[{t, r}];
+            EXPECT_EQ(layout.LocalLength(t, length, r), placed)
+                << "width " << width << " target " << t << " lane " << r
+                << " length " << length;
+          }
+        }
+      }
+    }
+  }
+  // Replicas clamp to [1, width].
+  EXPECT_EQ(StripeLayout(kUnit, 3, 0).replicas(), 1u);
+  EXPECT_EQ(StripeLayout(kUnit, 3, 7).replicas(), 3u);
+}
+
+TEST(StripeMath, ObjectNames) {
+  std::string object = StripeLayout::ObjectName("f");
+  ASSERT_EQ(object.size(), 23u);  // "stripe-" + 16 hex digits
+  EXPECT_EQ(object.rfind("stripe-", 0), 0u);
+  EXPECT_EQ(StripeLayout::LaneObjectName(object, 0), object);
+  EXPECT_EQ(StripeLayout::LaneObjectName(object, 2), object + "-r2");
 }
 
 // --- wire type ---
@@ -200,9 +260,9 @@ struct StripedWorld {
   std::vector<Sfs> stores;  // [0..width-1] data, [width] metadata
   std::vector<sp<DfsServer>> data_servers;
   std::vector<sp<DfsServer>> retired_servers;  // see chaos_dfs_test.cpp
-  sp<DfsServer> mds;
+  sp<StripeMds> mds;
   sp<StripedDfsClient> client;
-  dfs::DfsServerOptions mds_options;
+  dfs::StripeMdsConfig mds_config;
 
   // `replicas` defaults to 1: the original single-copy semantics most
   // tests assert (an unreachable target fails its own stripes). The
@@ -212,8 +272,8 @@ struct StripedWorld {
     client_node = network->AddNode("client");
     client2_node = network->AddNode("client2");
     mds_node = network->AddNode("mds");
-    mds_options.stripe_size = kSS;
-    mds_options.stripe_replicas = replicas;
+    mds_config.stripe_size = kSS;
+    mds_config.stripe_replicas = replicas;
     for (size_t k = 0; k < width; ++k) {
       data_nodes.push_back(network->AddNode("data" + std::to_string(k)));
       devices.push_back(
@@ -221,13 +281,13 @@ struct StripedWorld {
       stores.push_back(*CreateSfs(devices.back().get(), SfsOptions{}, &clock));
       data_servers.push_back(*DfsServer::Create(
           data_nodes[k], network.get(), "dfs-data", stores[k].root, &clock));
-      mds_options.stripe_targets.push_back(
+      mds_config.stripe_targets.push_back(
           {data_nodes[k]->name(), "dfs-data"});
     }
     devices.push_back(std::make_unique<MemBlockDevice>(ufs::kBlockSize, 4096));
     stores.push_back(*CreateSfs(devices.back().get(), SfsOptions{}, &clock));
-    mds = *DfsServer::Create(mds_node, network.get(), "dfs-meta",
-                             stores.back().root, &clock, mds_options);
+    mds = *StripeMds::Create(mds_node, network.get(), "dfs-meta",
+                             stores.back().root, &clock, mds_config);
     client = *StripedDfsClient::Mount(client_node, network.get(), "mds",
                                       "dfs-meta", &clock);
   }
@@ -261,8 +321,8 @@ struct StripedWorld {
   // names + the staleness sidecar), so the successor needs no warm state.
   void RestartMds() {
     retired_servers.push_back(mds);
-    mds = *DfsServer::Create(mds_node, network.get(), "dfs-meta",
-                             stores.back().root, &clock, mds_options);
+    mds = *StripeMds::Create(mds_node, network.get(), "dfs-meta",
+                             stores.back().root, &clock, mds_config);
   }
 
   // Reads lane `lane`'s stripe object on data server k through its own
@@ -383,7 +443,7 @@ TEST(StripedDfs, DataLandsOnStripeOwners) {
         world.client2_node, world.network.get(), world.data_nodes[k]->name(),
         "dfs-data", &world.clock);
     sp<File> object = *ResolveAs<File>(direct, object_name, world.sys);
-    uint64_t local_len = LocalLengthFor(k, data.size(), kSS, 2);
+    uint64_t local_len = StripeLayout(kSS, 2).LocalLength(k, data.size());
     EXPECT_EQ(*object->GetLength(), local_len) << "target " << k;
     Buffer local(local_len);
     ASSERT_EQ(*object->Read(0, local.mutable_span()), local_len);
@@ -448,7 +508,7 @@ TEST(StripedDfs, NonStripedServerRejectsStripedOpen) {
   sp<net::Node> client_node = network.AddNode("client");
   MemBlockDevice device(ufs::kBlockSize, 4096);
   Sfs sfs = *CreateSfs(&device, SfsOptions{}, &clock);
-  sp<DfsServer> server =  // no stripe_targets: a plain single server
+  sp<DfsServer> server =  // not a StripeMds: a plain single server
       *DfsServer::Create(server_node, &network, "dfs", sfs.root, &clock);
   ASSERT_TRUE(sfs.root->CreateFile(*Name::Parse("plain"),
                                    Credentials::System()).ok());
@@ -577,7 +637,8 @@ TEST(StripedDfsReplicated, WriteMirrorsEveryLane) {
   for (size_t t = 0; t < 2; ++t) {
     Buffer primary = world.ReadLaneObject(t, object_name, 0);
     Buffer mirror = world.ReadLaneObject((t + 1) % 2, object_name, 1);
-    EXPECT_EQ(primary.size(), LocalLengthFor(t, data.size(), kSS, 2));
+    EXPECT_EQ(primary.size(),
+              StripeLayout(kSS, 2).LocalLength(t, data.size()));
     ASSERT_EQ(mirror.size(), primary.size()) << "target " << t;
     EXPECT_EQ(std::memcmp(mirror.data(), primary.data(), primary.size()), 0)
         << "target " << t;
@@ -681,7 +742,7 @@ TEST(StripedDfsReplicated, PartitionedReplicaIsReportedAndWriteDegrades) {
 
   // A partition looks like silence, not a tombstone. The CLIENT is the
   // one that notices its writes not landing and reports the target stale
-  // (kReportStaleReplica) after degrade_after_rounds failed rounds.
+  // (kReportStaleReplica) after kDegradeAfterRounds failed rounds.
   world.network->SetPartitioned("data1", true);
   Buffer patch = PatternPage(0x66);
   ASSERT_EQ(*file->Write(0, patch.span()), patch.size());
@@ -769,7 +830,8 @@ TEST(StripedDfsReplicated, WidthThreeRotatedPlacement) {
   for (size_t t = 0; t < 3; ++t) {
     Buffer primary = world.ReadLaneObject(t, object_name, 0);
     Buffer mirror = world.ReadLaneObject((t + 1) % 3, object_name, 1);
-    EXPECT_EQ(primary.size(), LocalLengthFor(t, data.size(), kSS, 3));
+    EXPECT_EQ(primary.size(),
+              StripeLayout(kSS, 3).LocalLength(t, data.size()));
     ASSERT_EQ(mirror.size(), primary.size()) << "target " << t;
     EXPECT_EQ(std::memcmp(mirror.data(), primary.data(), primary.size()), 0)
         << "target " << t;
@@ -780,6 +842,132 @@ TEST(StripedDfsReplicated, WidthThreeRotatedPlacement) {
   Buffer back(data.size());
   ASSERT_EQ(*file->Read(0, back.mutable_span()), data.size());
   EXPECT_EQ(std::memcmp(back.data(), data.data(), data.size()), 0);
+}
+
+// --- the stripe-state sidecar: bytes read back from the metadata store ---
+
+TEST(StripeSidecar, EncodingIsPinned) {
+  dfs::StripeSidecar record;
+  record.path = "f";
+  record.state.version = 7;
+  record.state.stale = {false, true};
+  const uint8_t kExpect[] = {7, 0, 0, 0, 0, 0, 0, 0,  // version
+                             2, 0, 0, 0,              // flag count
+                             0, 0, 0, 0, 1, 0, 0, 0,  // stale flags
+                             1, 0, 0, 0, 'f'};        // path
+  Buffer wire = record.Encode();
+  ASSERT_EQ(wire.size(), sizeof(kExpect));
+  EXPECT_EQ(std::memcmp(wire.data(), kExpect, sizeof(kExpect)), 0);
+  Result<dfs::StripeSidecar> back = dfs::StripeSidecar::Decode(wire.span());
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->path, "f");
+  EXPECT_EQ(back->state.version, 7u);
+  EXPECT_EQ(back->state.stale, record.state.stale);
+  EXPECT_EQ(dfs::StripeSidecar::NameFor("f"),
+            "." + StripeLayout::ObjectName("f") + "-state");
+}
+
+TEST(StripeSidecar, DecodeSurvivesTruncationAndByteFlips) {
+  dfs::StripeSidecar record;
+  record.path = "dir/some-file";
+  record.state.version = 41;
+  record.state.stale = {false, true, false, false};
+  Buffer wire = record.Encode();
+  // Every cut of a valid record is a short record, and is rejected.
+  for (size_t n = 0; n < wire.size(); ++n) {
+    EXPECT_FALSE(dfs::StripeSidecar::Decode(wire.span().first(n)).ok())
+        << "cut at " << n;
+  }
+  // Seeded byte flips: decoding returns an error or a state (never a
+  // crash or a hang), and a state never holds more flags than its bytes.
+  Rng rng(1701);
+  for (int i = 0; i < 4000; ++i) {
+    Buffer mutated = wire;
+    for (uint64_t f = 1 + rng.Below(3); f > 0; --f) {
+      mutated.data()[rng.Below(mutated.size())] ^=
+          static_cast<uint8_t>(1 + rng.Below(255));
+    }
+    Result<dfs::StripeSidecar> got =
+        dfs::StripeSidecar::Decode(mutated.span());
+    if (got.ok()) {
+      EXPECT_LE(got->state.stale.size() * 4, mutated.size()) << "iter " << i;
+    }
+  }
+}
+
+TEST(StripedDfsReplicated, CorruptedSidecarStillServesMap) {
+  StripedWorld world(2, /*replicas=*/2);
+  sp<File> file = *world.client->CreateStriped("f");
+  Buffer data = Rng(29).RandomBuffer(4 * kSS);
+  ASSERT_EQ(*file->Write(0, data.span()), data.size());
+
+  // The record a previous incumbent would have left for "f", planted on
+  // the metadata store cut at every length, then with each byte flipped;
+  // a cold successor reads it on the first map request and again in every
+  // rebuild pass.
+  dfs::StripeSidecar record;
+  record.path = "f";
+  record.state.version = 5;
+  record.state.stale = {false, true};
+  Buffer wire = record.Encode();
+  sp<File> sidecar = *world.stores.back().root->CreateFile(
+      *Name::Parse(dfs::StripeSidecar::NameFor("f")), world.sys);
+  // Intact, the record is what the successor adopts.
+  ASSERT_EQ(*sidecar->Write(0, wire.span()), wire.size());
+  world.RestartMds();
+  dfs::ClusterStatsClient scraper("client2", world.network.get());
+  scraper.AddServer("mds", "dfs-meta");
+  std::vector<dfs::ServerScrape> scrape = scraper.ScrapeAll();
+  ASSERT_TRUE(scrape[0].ok());
+  ASSERT_EQ(scrape[0].health.files.size(), 1u);
+  EXPECT_EQ(scrape[0].health.files[0].map_version, 5u);
+  EXPECT_EQ(scrape[0].health.files[0].stale_targets,
+            std::vector<uint32_t>{1});
+
+  Rng rng(31);
+  for (size_t round = 0; round < 2 * wire.size(); ++round) {
+    Buffer bad = wire;
+    if (round < wire.size()) {
+      bad.resize(round);
+    } else {
+      bad.data()[round - wire.size()] ^=
+          static_cast<uint8_t>(1 + rng.Below(255));
+    }
+    ASSERT_TRUE(sidecar->SetLength(0).ok());
+    ASSERT_EQ(*sidecar->Write(0, bad.span()), bad.size());
+    world.RestartMds();
+    sp<StripedDfsClient> reader = *StripedDfsClient::Mount(
+        world.client2_node, world.network.get(), "mds", "dfs-meta",
+        &world.clock);
+    Result<sp<File>> reopened = reader->OpenStriped("f");
+    ASSERT_TRUE(reopened.ok()) << "round " << round << ": "
+                               << reopened.status().ToString();
+    EXPECT_TRUE(world.mds->RunRebuildPass().ok()) << "round " << round;
+    // A record whose path was corrupted does not name its sidecar, so it
+    // is never adopted under that path.
+    scrape = scraper.ScrapeAll();
+    for (const auto& tracked : scrape[0].health.files) {
+      EXPECT_EQ(tracked.path, "f") << "round " << round;
+    }
+  }
+}
+
+TEST(StripedDfs, MetadataServerRejectsBadGeometryAtCreation) {
+  StripedWorld world(2);
+  dfs::StripeMdsConfig config = world.mds_config;
+  config.stripe_size = kPageSize + 1;
+  EXPECT_EQ(StripeMds::Create(world.mds_node, world.network.get(), "bad",
+                              world.stores.back().root, &world.clock, config)
+                .status()
+                .code(),
+            ErrorCode::kInvalidArgument);
+  config.stripe_size = kPageSize;
+  config.stripe_targets.clear();
+  EXPECT_EQ(StripeMds::Create(world.mds_node, world.network.get(), "bad",
+                              world.stores.back().root, &world.clock, config)
+                .status()
+                .code(),
+            ErrorCode::kInvalidArgument);
 }
 
 TEST(StripedDfs, MappedReadsFaultThroughStripeFanout) {

@@ -16,6 +16,7 @@
 #include "src/layers/dfs/cluster_stats.h"
 #include "src/layers/dfs/dfs_client.h"
 #include "src/layers/dfs/dfs_server.h"
+#include "src/layers/dfs/stripe_mds.h"
 #include "src/layers/dfs/striped_client.h"
 #include "src/layers/sfs/sfs.h"
 #include "src/obs/flight_recorder.h"
@@ -32,6 +33,7 @@ using dfs::HealthResponse;
 using dfs::Op;
 using dfs::ServerScrape;
 using dfs::StripedDfsClient;
+using dfs::StripeMds;
 
 // --- wire round trips ---
 
@@ -256,17 +258,17 @@ struct TelemetryWorld {
   std::vector<std::unique_ptr<MemBlockDevice>> devices;
   std::vector<Sfs> stores;
   std::vector<sp<DfsServer>> data_servers;
-  sp<DfsServer> mds;
+  sp<StripeMds> mds;
   sp<StripedDfsClient> client;
-  dfs::DfsServerOptions mds_options;
+  dfs::StripeMdsConfig mds_config;
 
   TelemetryWorld() {
     network = std::make_unique<net::Network>(&clock, 1000);
     client_node = network->AddNode("client");
     probe_node = network->AddNode("probe");
     mds_node = network->AddNode("mds");
-    mds_options.stripe_size = kPageSize;
-    mds_options.stripe_replicas = 2;
+    mds_config.stripe_size = kPageSize;
+    mds_config.stripe_replicas = 2;
     for (int k = 0; k < 2; ++k) {
       data_nodes.push_back(network->AddNode("data" + std::to_string(k)));
       devices.push_back(
@@ -274,13 +276,13 @@ struct TelemetryWorld {
       stores.push_back(*CreateSfs(devices.back().get(), SfsOptions{}, &clock));
       data_servers.push_back(*DfsServer::Create(
           data_nodes[k], network.get(), "dfs-data", stores[k].root, &clock));
-      mds_options.stripe_targets.push_back(
+      mds_config.stripe_targets.push_back(
           {data_nodes[k]->name(), "dfs-data"});
     }
     devices.push_back(std::make_unique<MemBlockDevice>(ufs::kBlockSize, 4096));
     stores.push_back(*CreateSfs(devices.back().get(), SfsOptions{}, &clock));
-    mds = *DfsServer::Create(mds_node, network.get(), "dfs-meta",
-                             stores.back().root, &clock, mds_options);
+    mds = *StripeMds::Create(mds_node, network.get(), "dfs-meta",
+                             stores.back().root, &clock, mds_config);
     client = *StripedDfsClient::Mount(client_node, network.get(), "mds",
                                       "dfs-meta", &clock);
   }
