@@ -111,14 +111,27 @@ int main() {
               coherent ? "all coherent" : "FAILED");
 
   std::map<std::string, uint64_t> stats = metrics::CollectFrom(*server);
+  uint64_t decompressions = metrics::StatValue(*compfs, "blocks_decompressed");
   std::printf("server: %llu remote page-ins, %llu callbacks; compfs: %llu "
               "decompressions\n",
               static_cast<unsigned long long>(stats["remote_page_ins"]),
               static_cast<unsigned long long>(stats["callbacks_sent"]),
-              static_cast<unsigned long long>(
-                  metrics::StatValue(*compfs, "blocks_decompressed")));
+              static_cast<unsigned long long>(decompressions));
   std::printf("shape: remote ops pay network latency; mapped re-reads are "
               "local; COMPFS adds\ndecompression CPU; coherence holds across "
               "every access path\n");
-  return 0;
+
+  // Self-checks: the Figure 9 verdicts, as the exit code.
+  bool ok = true;
+  if (!coherent) {
+    std::printf("SELF-CHECK FAILED: a local COMPFS read missed a remote "
+                "mapped write\n");
+    ok = false;
+  }
+  if (decompressions == 0) {
+    std::printf("SELF-CHECK FAILED: COMPFS recorded no decompressions, so "
+                "the reads did not run the COMPFS path\n");
+    ok = false;
+  }
+  return ok ? 0 : 1;
 }

@@ -4,17 +4,13 @@
 //
 // A LayerPager is the layer's end of one client channel: the pager object
 // a VMM or a higher layer receives from bind. Each operation forwards, in
-// the layer's domain, to the layer's Client* entry point for the file and
-// channel:
+// the layer's domain, to the shared client half of the layer's file
+// (src/fs/cached_file.h) for the file and channel:
 //
-//   PageIn                  -> ClientPageIn(state, channel, ...)
-//   PageOut/WriteOut/Sync   -> ClientPageWrite(state, channel, ...)
-//   GetAttributes           -> ClientGetAttributes(state)
-//   WriteAttributes         -> ClientWriteAttributes(state, channel, update)
-//
-// The layer provides FileState (with `mutex` and the coherency `engine`
-// across client caches), `client_channels_`, and those entry points, and
-// befriends LayerPager<Layer>.
+//   PageIn                  -> CachedFile<Layer>::ClientPageIn
+//   PageOut/WriteOut/Sync   -> CachedFile<Layer>::ClientPageWrite
+//   GetAttributes           -> CachedFile<Layer>::ClientGetAttributes
+//   WriteAttributes         -> CachedFile<Layer>::ClientWriteAttributes
 
 #ifndef SPRINGFS_FS_LAYER_PAGER_H_
 #define SPRINGFS_FS_LAYER_PAGER_H_
@@ -27,9 +23,13 @@
 namespace springfs {
 
 template <typename Layer>
+class CachedFile;
+
+template <typename Layer>
 class LayerPager final : public FsPagerObject, public Servant {
  public:
   using State = typename Layer::FileState;
+  using Core = CachedFile<Layer>;
 
   LayerPager(sp<Layer> layer, sp<State> state, uint64_t channel)
       : Servant(layer->domain()), layer_(std::move(layer)),
@@ -61,28 +61,29 @@ class LayerPager final : public FsPagerObject, public Servant {
   Result<Buffer> PageIn(Offset offset, Offset size,
                         AccessRights access) override {
     return InDomain([&] {
-      return layer_->ClientPageIn(*state_, channel_, offset, size, access);
+      return Core::ClientPageIn(*layer_, *state_, channel_, offset, size,
+                                access);
     });
   }
   Status PageOut(Offset offset, ByteSpan data) override {
     return InDomain([&] {
-      return layer_->ClientPageWrite(*state_, channel_, offset, data,
-                                     /*drops=*/true, /*downgrades=*/false,
-                                     /*push_below=*/false);
+      return Core::ClientPageWrite(*layer_, *state_, channel_, offset, data,
+                                   /*drops=*/true, /*downgrades=*/false,
+                                   /*push_below=*/false);
     });
   }
   Status WriteOut(Offset offset, ByteSpan data) override {
     return InDomain([&] {
-      return layer_->ClientPageWrite(*state_, channel_, offset, data,
-                                     /*drops=*/false, /*downgrades=*/true,
-                                     /*push_below=*/false);
+      return Core::ClientPageWrite(*layer_, *state_, channel_, offset, data,
+                                   /*drops=*/false, /*downgrades=*/true,
+                                   /*push_below=*/false);
     });
   }
   Status Sync(Offset offset, ByteSpan data) override {
     return InDomain([&] {
-      return layer_->ClientPageWrite(*state_, channel_, offset, data,
-                                     /*drops=*/false, /*downgrades=*/false,
-                                     /*push_below=*/true);
+      return Core::ClientPageWrite(*layer_, *state_, channel_, offset, data,
+                                   /*drops=*/false, /*downgrades=*/false,
+                                   /*push_below=*/true);
     });
   }
   void DoneWithPagerObject() override {
@@ -94,11 +95,12 @@ class LayerPager final : public FsPagerObject, public Servant {
   }
 
   Result<FileAttributes> GetAttributes() override {
-    return InDomain([&] { return layer_->ClientGetAttributes(*state_); });
+    return InDomain(
+        [&] { return Core::ClientGetAttributes(*layer_, *state_); });
   }
   Status WriteAttributes(const AttrUpdate& update) override {
     return InDomain([&] {
-      return layer_->ClientWriteAttributes(*state_, channel_, update);
+      return Core::ClientWriteAttributes(*layer_, *state_, channel_, update);
     });
   }
 

@@ -2,35 +2,11 @@
 
 #include <algorithm>
 
-#include "src/fs/layer_pager.h"
 #include "src/fs/prefix_context.h"
 #include "src/obs/trace.h"
 #include "src/support/logging.h"
 
 namespace springfs {
-namespace {
-
-metrics::OpMetric& PageInMetric() {
-  static metrics::OpMetric metric("layer/coherent/page_in");
-  return metric;
-}
-
-metrics::OpMetric& PageWriteMetric() {
-  static metrics::OpMetric metric("layer/coherent/page_write");
-  return metric;
-}
-
-metrics::OpMetric& ReadMetric() {
-  static metrics::OpMetric metric("layer/coherent/read");
-  return metric;
-}
-
-metrics::OpMetric& WriteMetric() {
-  static metrics::OpMetric metric("layer/coherent/write");
-  return metric;
-}
-
-}  // namespace
 
 // --- servants -------------------------------------------------------------
 
@@ -54,7 +30,7 @@ class CoherencyLowerCacheObject : public FsCacheObject, public Servant {
       std::lock_guard<std::mutex> lock(state_->mutex);
       std::vector<BlockData> modified;
       Offset end = range.end();
-      for (auto& [off, block] : state_->blocks) {
+      for (auto& [off, block] : state_->pages) {
         if (off >= range.offset && off < end && block.dirty) {
           modified.push_back(BlockData{off, block.data});
           block.dirty = false;
@@ -70,9 +46,9 @@ class CoherencyLowerCacheObject : public FsCacheObject, public Servant {
       for (const sp<CacheObject>& cache : state_->engine.Caches()) {
         RETURN_IF_ERROR(cache->DeleteRange(range));
       }
-      auto it = state_->blocks.lower_bound(PageFloor(range.offset));
-      while (it != state_->blocks.end() && it->first < end) {
-        it = state_->blocks.erase(it);
+      auto it = state_->pages.lower_bound(PageFloor(range.offset));
+      while (it != state_->pages.end() && it->first < end) {
+        it = state_->pages.erase(it);
       }
       return Status::Ok();
     });
@@ -84,10 +60,15 @@ class CoherencyLowerCacheObject : public FsCacheObject, public Servant {
       for (const sp<CacheObject>& cache : state_->engine.Caches()) {
         RETURN_IF_ERROR(cache->ZeroFill(range));
       }
-      for (auto& [off, block] : state_->blocks) {
-        if (off >= range.offset && off < end) {
-          std::memset(block.data.data(), 0, block.data.size());
-          block.dirty = false;
+      for (auto it = state_->pages.lower_bound(PageFloor(range.offset));
+           it != state_->pages.end() && it->first < end; ++it) {
+        // A page the range covers in part keeps its other bytes.
+        Offset from = std::max(range.offset, it->first);
+        Offset to = std::min<Offset>(end, it->first + kPageSize);
+        std::memset(it->second.data.data() + (from - it->first), 0,
+                    to - from);
+        if (to - from == kPageSize) {
+          it->second.dirty = false;
         }
       }
       return Status::Ok();
@@ -100,11 +81,9 @@ class CoherencyLowerCacheObject : public FsCacheObject, public Servant {
       }
       std::lock_guard<std::mutex> lock(state_->mutex);
       for (Offset off = 0; off < data.size(); off += kPageSize) {
-        CoherencyLayer::CachedBlock block;
-        block.data = Buffer(data.subspan(off, kPageSize));
-        block.rights = access;
-        block.dirty = false;
-        state_->blocks.insert_or_assign(offset + off, std::move(block));
+        state_->pages.insert_or_assign(
+            offset + off,
+            CachedPage{Buffer(data.subspan(off, kPageSize)), access, false});
       }
       return Status::Ok();
     });
@@ -112,7 +91,7 @@ class CoherencyLowerCacheObject : public FsCacheObject, public Servant {
   Status DestroyCache() override {
     return InDomain([&]() -> Status {
       std::lock_guard<std::mutex> lock(state_->mutex);
-      state_->blocks.clear();
+      state_->pages.clear();
       state_->lower->Drop();
       return Status::Ok();
     });
@@ -143,197 +122,6 @@ class CoherencyLowerCacheObject : public FsCacheObject, public Servant {
   sp<CoherencyLayer::FileState> state_;
 };
 
-// A file exported by the coherency layer.
-class CoherentFile : public File, public Servant {
- public:
-  CoherentFile(sp<Domain> domain, sp<CoherencyLayer> layer,
-               sp<CoherencyLayer::FileState> state)
-      : Servant(std::move(domain)), layer_(std::move(layer)),
-        state_(std::move(state)) {}
-
-  const sp<CoherencyLayer::FileState>& state() const { return state_; }
-  const sp<File>& under() const { return state_->under; }
-
-  // --- MemoryObject ---
-  Result<sp<CacheRights>> Bind(const sp<CacheManager>& caller,
-                               AccessRights requested_access) override {
-    (void)requested_access;
-    return InDomain([&]() -> Result<sp<CacheRights>> {
-      RETURN_IF_ERROR(layer_->EnsureBoundBelow(state_));
-      return LayerPager<CoherencyLayer>::BindClient(layer_, state_, caller);
-    });
-  }
-
-  Result<Offset> GetLength() override {
-    return InDomain([&]() -> Result<Offset> {
-      if (!layer_->options_.cache_attrs) {
-        return state_->under->GetLength();
-      }
-      std::lock_guard<std::mutex> lock(state_->mutex);
-      RETURN_IF_ERROR(layer_->EnsureAttrs(*state_));
-      return Offset{state_->attrs.size};
-    });
-  }
-
-  Status SetLength(Offset length) override {
-    return InDomain([&]() -> Status {
-      if (!layer_->options_.cache_attrs) {
-        return state_->under->SetLength(length);
-      }
-      std::lock_guard<std::mutex> lock(state_->mutex);
-      RETURN_IF_ERROR(layer_->EnsureAttrs(*state_));
-      uint64_t old_size = state_->attrs.size;
-      state_->attrs.size = length;
-      state_->attrs.mtime_ns = layer_->clock_->Now();
-      state_->attrs_dirty = true;
-      RETURN_IF_ERROR(layer_->BroadcastAttrInvalidate(*state_, 0));
-      if (length < old_size) {
-        // Truncation: discard data beyond EOF everywhere.
-        Offset from = PageCeil(length);
-        for (const sp<CacheObject>& cache : state_->engine.Caches()) {
-          RETURN_IF_ERROR(cache->DeleteRange(Range{from, ~Offset{0} - from}));
-        }
-        auto it = state_->blocks.lower_bound(from);
-        while (it != state_->blocks.end()) {
-          it = state_->blocks.erase(it);
-        }
-        // Zero the tail of the page containing the new EOF.
-        if (length % kPageSize != 0) {
-          Offset page = PageFloor(length);
-          auto block_it = state_->blocks.find(page);
-          if (block_it != state_->blocks.end()) {
-            size_t cut = length - page;
-            std::memset(block_it->second.data.data() + cut, 0,
-                        kPageSize - cut);
-            // We now hold the newest content for this block; claim it
-            // read-write so the dirty copy can be pushed below.
-            block_it->second.dirty = true;
-            block_it->second.rights = AccessRights::kReadWrite;
-          }
-          for (const sp<CacheObject>& cache : state_->engine.Caches()) {
-            RETURN_IF_ERROR(
-                cache->ZeroFill(Range{length, kPageSize - length % kPageSize}));
-          }
-        }
-      }
-      return Status::Ok();
-    });
-  }
-
-  // --- File ---
-  Result<size_t> Read(Offset offset, MutableByteSpan out) override {
-    return InDomain([&]() -> Result<size_t> {
-      metrics::TimedOp timed(ReadMetric(), "coh.read");
-      RETURN_IF_ERROR(layer_->EnsureBoundBelow(state_));
-      std::lock_guard<std::mutex> lock(state_->mutex);
-      ASSIGN_OR_RETURN(std::vector<BlockData> recovered,
-                       state_->engine.Acquire(0, Range{offset, out.size()},
-                                              AccessRights::kReadOnly));
-      RETURN_IF_ERROR(layer_->FoldRecoveredLocked(*state_, recovered));
-      if (!layer_->options_.cache_data) {
-        return state_->under->Read(offset, out);
-      }
-      RETURN_IF_ERROR(layer_->EnsureAttrs(*state_));
-      if (offset >= state_->attrs.size) {
-        return size_t{0};
-      }
-      size_t to_read = std::min<uint64_t>(out.size(),
-                                          state_->attrs.size - offset);
-      RETURN_IF_ERROR(layer_->EnsureBlocks(*state_, PageFloor(offset),
-                                           PageCeil(offset + to_read),
-                                           AccessRights::kReadOnly));
-      size_t done = 0;
-      while (done < to_read) {
-        Offset page = PageFloor(offset + done);
-        size_t in_page = offset + done - page;
-        size_t chunk = std::min<size_t>(kPageSize - in_page, to_read - done);
-        const CoherencyLayer::CachedBlock& block = state_->blocks.at(page);
-        std::memcpy(out.data() + done, block.data.data() + in_page, chunk);
-        done += chunk;
-      }
-      state_->attrs.atime_ns = layer_->clock_->Now();
-      state_->attrs_dirty = true;
-      return to_read;
-    });
-  }
-
-  Result<size_t> Write(Offset offset, ByteSpan data) override {
-    return InDomain([&]() -> Result<size_t> {
-      metrics::TimedOp timed(WriteMetric(), "coh.write");
-      RETURN_IF_ERROR(layer_->EnsureBoundBelow(state_));
-      std::lock_guard<std::mutex> lock(state_->mutex);
-      ASSIGN_OR_RETURN(std::vector<BlockData> recovered,
-                       state_->engine.Acquire(0, Range{offset, data.size()},
-                                              AccessRights::kReadWrite));
-      RETURN_IF_ERROR(layer_->FoldRecoveredLocked(*state_, recovered));
-      if (!layer_->options_.cache_data) {
-        return state_->under->Write(offset, data);
-      }
-      RETURN_IF_ERROR(layer_->EnsureAttrs(*state_));
-      RETURN_IF_ERROR(layer_->EnsureBlocks(*state_, PageFloor(offset),
-                                           PageCeil(offset + data.size()),
-                                           AccessRights::kReadWrite));
-      size_t done = 0;
-      while (done < data.size()) {
-        Offset page = PageFloor(offset + done);
-        size_t in_page = offset + done - page;
-        size_t chunk = std::min<size_t>(kPageSize - in_page,
-                                        data.size() - done);
-        CoherencyLayer::CachedBlock& block = state_->blocks.at(page);
-        std::memcpy(block.data.data() + in_page, data.data() + done, chunk);
-        block.dirty = true;
-        done += chunk;
-      }
-      state_->attrs.size = std::max<uint64_t>(state_->attrs.size,
-                                              offset + data.size());
-      state_->attrs.mtime_ns = layer_->clock_->Now();
-      state_->attrs_dirty = true;
-      RETURN_IF_ERROR(layer_->BroadcastAttrInvalidate(*state_, 0));
-      return data.size();
-    });
-  }
-
-  Result<FileAttributes> Stat() override {
-    return InDomain([&]() -> Result<FileAttributes> {
-      if (!layer_->options_.cache_attrs) {
-        return state_->under->Stat();
-      }
-      std::lock_guard<std::mutex> lock(state_->mutex);
-      RETURN_IF_ERROR(layer_->EnsureAttrs(*state_));
-      return state_->attrs;
-    });
-  }
-
-  Status SetTimes(uint64_t atime_ns, uint64_t mtime_ns) override {
-    return InDomain([&]() -> Status {
-      if (!layer_->options_.cache_attrs) {
-        return state_->under->SetTimes(atime_ns, mtime_ns);
-      }
-      std::lock_guard<std::mutex> lock(state_->mutex);
-      RETURN_IF_ERROR(layer_->EnsureAttrs(*state_));
-      state_->attrs.atime_ns = atime_ns;
-      state_->attrs.mtime_ns = mtime_ns;
-      state_->attrs_dirty = true;
-      RETURN_IF_ERROR(layer_->BroadcastAttrInvalidate(*state_, 0));
-      return Status::Ok();
-    });
-  }
-
-  Status SyncFile() override {
-    return InDomain([&]() -> Status {
-      {
-        std::lock_guard<std::mutex> lock(state_->mutex);
-        RETURN_IF_ERROR(layer_->SyncFileState(*state_));
-      }
-      return state_->under->SyncFile();
-    });
-  }
-
- private:
-  sp<CoherencyLayer> layer_;
-  sp<CoherencyLayer::FileState> state_;
-};
-
 // --- CoherencyLayer --------------------------------------------------------
 
 sp<CoherencyLayer> CoherencyLayer::Create(sp<Domain> domain,
@@ -354,13 +142,12 @@ CoherencyLayer::~CoherencyLayer() {
 }
 
 void CoherencyLayer::CollectStats(const metrics::StatsEmitter& emit) const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  emit("data_cache_hits", stats_.data_cache_hits);
-  emit("data_cache_misses", stats_.data_cache_misses);
-  emit("attr_cache_hits", stats_.attr_cache_hits);
-  emit("attr_cache_misses", stats_.attr_cache_misses);
-  emit("lower_page_ins", stats_.lower_page_ins);
-  emit("lower_page_outs", stats_.lower_page_outs);
+  emit("data_cache_hits", cache_stats_.data_hits);
+  emit("data_cache_misses", cache_stats_.data_misses);
+  emit("attr_cache_hits", cache_stats_.attr_hits);
+  emit("attr_cache_misses", cache_stats_.attr_misses);
+  emit("lower_page_ins", lower_page_ins_);
+  emit("lower_page_outs", lower_page_outs_);
 }
 
 Status CoherencyLayer::StackOn(sp<StackableFs> underlying) {
@@ -392,7 +179,8 @@ sp<CoherencyLayer::FileState> CoherencyLayer::StateForFile(
   return state;
 }
 
-Result<sp<CoherentFile>> CoherencyLayer::WrapFile(const sp<File>& under) {
+Result<sp<CachedFile<CoherencyLayer>>> CoherencyLayer::WrapFile(
+    const sp<File>& under) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = wrapped_files_.find(under.get());
@@ -401,7 +189,7 @@ Result<sp<CoherentFile>> CoherencyLayer::WrapFile(const sp<File>& under) {
     }
   }
   sp<FileState> state = StateForFile(under);
-  auto wrapped = std::make_shared<CoherentFile>(domain(), Self(), state);
+  auto wrapped = std::make_shared<CachedFile<CoherencyLayer>>(Self(), state);
   std::lock_guard<std::mutex> lock(mutex_);
   auto [it, inserted] = wrapped_files_.emplace(under.get(), wrapped);
   return it->second;
@@ -410,7 +198,7 @@ Result<sp<CoherentFile>> CoherencyLayer::WrapFile(const sp<File>& under) {
 Result<sp<Object>> CoherencyLayer::WrapResolved(const Name& name,
                                                  sp<Object> object) {
   if (sp<File> file = narrow<File>(object)) {
-    ASSIGN_OR_RETURN(sp<CoherentFile> wrapped, WrapFile(file));
+    ASSIGN_OR_RETURN(sp<CachedFile<CoherencyLayer>> wrapped, WrapFile(file));
     return sp<Object>(wrapped);
   }
   if (narrow<Context>(object)) {
@@ -420,8 +208,8 @@ Result<sp<Object>> CoherencyLayer::WrapResolved(const Name& name,
 }
 
 sp<Object> CoherencyLayer::UnwrapForBind(sp<Object> object) {
-  if (sp<CoherentFile> wrapped = narrow<CoherentFile>(object)) {
-    return wrapped->under();
+  if (auto wrapped = narrow<CachedFile<CoherencyLayer>>(object)) {
+    return wrapped->state()->under;
   }
   return object;
 }
@@ -432,16 +220,7 @@ Status CoherencyLayer::EnsureBoundBelow(const sp<FileState>& state) {
   });
 }
 
-Status CoherencyLayer::EnsureAttrs(FileState& state) {
-  if (state.attrs_valid) {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.attr_cache_hits;
-    return Status::Ok();
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.attr_cache_misses;
-  }
+Status CoherencyLayer::LoadAttributes(FileState& state) {
   // Prefer the fs_pager attribute path when the layer below is a file
   // system; fall back to the file interface.
   if (sp<FsPagerObject> fs_pager = state.lower->fs_pager()) {
@@ -449,21 +228,15 @@ Status CoherencyLayer::EnsureAttrs(FileState& state) {
   } else {
     ASSIGN_OR_RETURN(state.attrs, state.under->Stat());
   }
-  state.attrs_valid = true;
-  state.attrs_dirty = false;
   return Status::Ok();
 }
 
-Result<Buffer> CoherencyLayer::FetchFromBelow(FileState& state, Offset begin,
-                                              Offset len,
-                                              AccessRights access) {
+Result<Buffer> CoherencyLayer::FillPages(FileState& state, Offset begin,
+                                         Offset len, AccessRights* access) {
   ASSIGN_OR_RETURN(sp<PagerObject> pager, state.lower->pager());
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.lower_page_ins;
-  }
+  ++lower_page_ins_;
   trace::ScopedSpan span("coh.lower_page_in");
-  ASSIGN_OR_RETURN(Buffer raw, pager->PageIn(begin, len, access));
+  ASSIGN_OR_RETURN(Buffer raw, pager->PageIn(begin, len, *access));
   if (raw.size() < len) {
     raw.resize(len);
   }
@@ -480,220 +253,42 @@ Result<Buffer> CoherencyLayer::FetchFromBelow(FileState& state, Offset begin,
   return decoded;
 }
 
-Status CoherencyLayer::PushToBelow(FileState& state, Offset offset,
-                                   ByteSpan data) {
-  if (offset % kPageSize != 0 || data.size() % kPageSize != 0) {
-    return ErrInvalidArgument("push to below must be page-aligned");
-  }
-  ASSIGN_OR_RETURN(sp<PagerObject> pager, state.lower->pager());
-  Buffer encoded(data.size());
-  for (Offset off = 0; off < data.size(); off += kPageSize) {
-    ASSIGN_OR_RETURN(Buffer page,
-                     EncodeForBelow(state.file_id, offset + off,
-                                    Buffer(data.subspan(off, kPageSize))));
-    if (page.size() != kPageSize) {
-      return ErrCorrupted("encode changed page size");
+Status CoherencyLayer::StorePages(FileState& state,
+                                  const std::vector<PageRun>& runs) {
+  for (const PageRun& run : runs) {
+    if (run.offset % kPageSize != 0 || run.data.size() % kPageSize != 0) {
+      return ErrInvalidArgument("push to below must be page-aligned");
     }
-    encoded.WriteAt(off, page.span());
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.lower_page_outs;
-  }
-  trace::ScopedSpan span("coh.lower_page_out");
-  return pager->Sync(offset, encoded.span());
-}
-
-Status CoherencyLayer::EnsureBlocks(FileState& state, Offset begin, Offset end,
-                                    AccessRights access) {
-  // Collect contiguous runs of pages that need fetching from below.
-  Offset run_start = 0;
-  Offset run_len = 0;
-  auto flush_run = [&]() -> Status {
-    if (run_len == 0) {
-      return Status::Ok();
-    }
-    ASSIGN_OR_RETURN(Buffer data,
-                     FetchFromBelow(state, run_start, run_len, access));
-    for (Offset off = 0; off < run_len; off += kPageSize) {
-      CachedBlock block;
-      block.data = Buffer(data.subspan(off, kPageSize));
-      block.rights = access;
-      block.dirty = false;
-      state.blocks.insert_or_assign(run_start + off, std::move(block));
-    }
-    run_len = 0;
-    return Status::Ok();
-  };
-
-  for (Offset page = begin; page < end; page += kPageSize) {
-    auto it = state.blocks.find(page);
-    bool ok_cached = it != state.blocks.end() &&
-                     (access == AccessRights::kReadOnly ||
-                      it->second.rights == AccessRights::kReadWrite);
-    if (ok_cached) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.data_cache_hits;
+    ASSIGN_OR_RETURN(sp<PagerObject> pager, state.lower->pager());
+    Buffer encoded(run.data.size());
+    for (Offset off = 0; off < run.data.size(); off += kPageSize) {
+      ASSIGN_OR_RETURN(
+          Buffer page,
+          EncodeForBelow(state.file_id, run.offset + off,
+                         Buffer(run.data.subspan(off, kPageSize))));
+      if (page.size() != kPageSize) {
+        return ErrCorrupted("encode changed page size");
       }
-      RETURN_IF_ERROR(flush_run());
-      continue;
+      encoded.WriteAt(off, page.span());
     }
-    if (it != state.blocks.end() && it->second.dirty) {
-      // Upgrading a dirty block would clobber it; a dirty block must
-      // already be held read-write from below.
-      return ErrCorrupted("dirty read-only block in coherency layer cache");
-    }
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.data_cache_misses;
-    }
-    if (run_len == 0) {
-      run_start = page;
-    }
-    run_len += kPageSize;
-  }
-  return flush_run();
-}
-
-Status CoherencyLayer::FoldRecoveredLocked(
-    FileState& state, const std::vector<BlockData>& blocks) {
-  if (blocks.empty()) {
-    return Status::Ok();
-  }
-  if (options_.cache_data) {
-    for (const BlockData& block : blocks) {
-      CachedBlock cached;
-      cached.data = block.data;
-      cached.data.resize(kPageSize);
-      cached.rights = AccessRights::kReadWrite;
-      cached.dirty = true;
-      state.blocks.insert_or_assign(block.offset, std::move(cached));
-    }
-    return Status::Ok();
-  }
-  // Uncached mode: write the recovered data straight through to the layer
-  // below.
-  for (const BlockData& block : blocks) {
-    Buffer page = block.data;
-    page.resize(kPageSize);
-    RETURN_IF_ERROR(PushToBelow(state, block.offset, page.span()));
+    ++lower_page_outs_;
+    trace::ScopedSpan span("coh.lower_page_out");
+    RETURN_IF_ERROR(pager->Sync(run.offset, encoded.span()));
   }
   return Status::Ok();
 }
 
-Result<Buffer> CoherencyLayer::ClientPageIn(FileState& state, uint64_t channel,
-                                            Offset offset, Offset size,
-                                            AccessRights access) {
-  metrics::TimedOp timed(PageInMetric(), "coh.page_in");
-  std::lock_guard<std::mutex> lock(state.mutex);
-  Offset begin = PageFloor(offset);
-  Offset end = PageCeil(offset + std::max<Offset>(size, 1));
-  // A read-only page-in is widened twice: by the client's fault cluster
-  // (the request spans several pages) and by our read-ahead (the bind
-  // contract lets a pager return more data than requested). In caching
-  // mode both stop at the file length, so no page past EOF is paged in
-  // from below. The demanded page is always served; the client accepts the
-  // short reply.
-  if (options_.cache_data && access == AccessRights::kReadOnly &&
-      (end - begin > kPageSize || options_.read_ahead_pages > 0) &&
-      EnsureAttrs(state).ok()) {
-    Offset eof = PageCeil(state.attrs.size);
-    Offset extended = end + Offset{options_.read_ahead_pages} * kPageSize;
-    end = std::max(begin + kPageSize, std::min(extended, eof));
+Status CoherencyLayer::StoreAttributes(FileState& state,
+                                       const AttrUpdate& update) {
+  if (sp<FsPagerObject> fs_pager = state.lower->fs_pager()) {
+    return fs_pager->WriteAttributes(update);
   }
-  ASSIGN_OR_RETURN(std::vector<BlockData> recovered,
-                   state.engine.Acquire(channel, Range::FromTo(begin, end),
-                                        access));
-  RETURN_IF_ERROR(FoldRecoveredLocked(state, recovered));
-  if (!options_.cache_data) {
-    // Pass-through: fetch from below without retaining.
-    return FetchFromBelow(state, begin, end - begin, access);
-  }
-  RETURN_IF_ERROR(EnsureBlocks(state, begin, end, access));
-  Buffer out(end - begin);
-  for (Offset page = begin; page < end; page += kPageSize) {
-    const CachedBlock& block = state.blocks.at(page);
-    out.WriteAt(page - begin, block.data.span());
-  }
-  return out;
-}
-
-Status CoherencyLayer::ClientPageWrite(FileState& state, uint64_t channel,
-                                       Offset offset, ByteSpan data,
-                                       bool drops, bool downgrades,
-                                       bool push_below) {
-  metrics::TimedOp timed(PageWriteMetric(), "coh.page_write");
-  std::lock_guard<std::mutex> lock(state.mutex);
-  if (offset % kPageSize != 0 || data.size() % kPageSize != 0) {
-    return ErrInvalidArgument("page write must be page-aligned");
-  }
-  if (options_.cache_data && !push_below) {
-    for (Offset off = 0; off < data.size(); off += kPageSize) {
-      CachedBlock block;
-      block.data = Buffer(data.subspan(off, kPageSize));
-      block.rights = AccessRights::kReadWrite;
-      block.dirty = true;
-      state.blocks.insert_or_assign(offset + off, std::move(block));
-    }
-  } else {
-    // Uncached mode, or an explicit sync: write through to the layer below.
-    if (options_.cache_data) {
-      for (Offset off = 0; off < data.size(); off += kPageSize) {
-        CachedBlock block;
-        block.data = Buffer(data.subspan(off, kPageSize));
-        block.rights = AccessRights::kReadWrite;
-        block.dirty = false;  // about to be pushed below
-        state.blocks.insert_or_assign(offset + off, std::move(block));
-      }
-    }
-    RETURN_IF_ERROR(PushToBelow(state, offset, data));
-  }
-  if (drops) {
-    state.engine.ReleaseDropped(channel, Range{offset, data.size()});
-  } else if (downgrades) {
-    state.engine.ReleaseDowngraded(channel, Range{offset, data.size()});
-  }
-  return Status::Ok();
-}
-
-Result<FileAttributes> CoherencyLayer::ClientGetAttributes(FileState& state) {
-  if (!options_.cache_attrs) {
-    if (sp<FsPagerObject> fs_pager = state.lower->fs_pager()) {
-      return fs_pager->GetAttributes();
-    }
-    return state.under->Stat();
-  }
-  std::lock_guard<std::mutex> lock(state.mutex);
-  RETURN_IF_ERROR(EnsureAttrs(state));
-  return state.attrs;
-}
-
-Status CoherencyLayer::ClientWriteAttributes(FileState& state,
-                                             uint64_t channel,
-                                             const AttrUpdate& update) {
-  if (!options_.cache_attrs) {
-    if (sp<FsPagerObject> fs_pager = state.lower->fs_pager()) {
-      return fs_pager->WriteAttributes(update);
-    }
-    if (update.size) {
-      RETURN_IF_ERROR(state.under->SetLength(*update.size));
-    }
-    return Status::Ok();
-  }
-  std::lock_guard<std::mutex> lock(state.mutex);
-  RETURN_IF_ERROR(EnsureAttrs(state));
   if (update.size) {
-    state.attrs.size = *update.size;
+    RETURN_IF_ERROR(state.under->SetLength(*update.size));
   }
-  if (update.atime_ns) {
-    state.attrs.atime_ns = *update.atime_ns;
+  if (update.atime_ns && update.mtime_ns) {
+    RETURN_IF_ERROR(state.under->SetTimes(*update.atime_ns, *update.mtime_ns));
   }
-  if (update.mtime_ns) {
-    state.attrs.mtime_ns = *update.mtime_ns;
-  }
-  state.attrs_dirty = true;
-  RETURN_IF_ERROR(BroadcastAttrInvalidate(state, channel));
   return Status::Ok();
 }
 
@@ -712,14 +307,14 @@ Result<std::vector<BlockData>> CoherencyLayer::LowerFlushBack(FileState& state,
     // Fold first so a block dirty both here and at a client surfaces once,
     // with the client's (newer) content.
     for (BlockData& block : modified) {
-      state.blocks.erase(block.offset);
+      state.pages.erase(block.offset);
     }
-    auto it = state.blocks.lower_bound(PageFloor(range.offset));
-    while (it != state.blocks.end() && it->first < end) {
+    auto it = state.pages.lower_bound(PageFloor(range.offset));
+    while (it != state.pages.end() && it->first < end) {
       if (it->second.dirty) {
         modified.push_back(BlockData{it->first, std::move(it->second.data)});
       }
-      it = state.blocks.erase(it);
+      it = state.pages.erase(it);
     }
   }
   return modified;
@@ -737,16 +332,15 @@ Result<std::vector<BlockData>> CoherencyLayer::LowerDenyWrites(
     // Keep the recovered client data in our cache (now read-only below) and
     // report it as modified.
     for (const BlockData& block : recovered) {
-      CachedBlock cached;
-      cached.data = block.data;
-      cached.data.resize(kPageSize);
-      cached.rights = AccessRights::kReadOnly;
-      cached.dirty = false;
-      state.blocks.insert_or_assign(block.offset, std::move(cached));
+      Buffer page = block.data;
+      page.resize(kPageSize);
+      state.pages.insert_or_assign(
+          block.offset,
+          CachedPage{std::move(page), AccessRights::kReadOnly, false});
       modified.push_back(block);
     }
-    for (auto it = state.blocks.lower_bound(PageFloor(range.offset));
-         it != state.blocks.end() && it->first < end; ++it) {
+    for (auto it = state.pages.lower_bound(PageFloor(range.offset));
+         it != state.pages.end() && it->first < end; ++it) {
       if (it->second.dirty) {
         modified.push_back(BlockData{it->first, it->second.data});
         it->second.dirty = false;
@@ -757,50 +351,6 @@ Result<std::vector<BlockData>> CoherencyLayer::LowerDenyWrites(
     modified = std::move(recovered);
   }
   return modified;
-}
-
-Status CoherencyLayer::BroadcastAttrInvalidate(FileState& state,
-                                               uint64_t except_channel) {
-  for (const auto& ch : client_channels_.ChannelsForFile(state.file_id)) {
-    if (ch.local_id == except_channel || !ch.fs_cache) {
-      continue;
-    }
-    RETURN_IF_ERROR(ch.fs_cache->InvalidateAttributes());
-  }
-  return Status::Ok();
-}
-
-Status CoherencyLayer::SyncFileState(FileState& state) {
-  // Demote client writers so their latest data lands in our cache first.
-  ASSIGN_OR_RETURN(std::vector<BlockData> recovered,
-                   state.engine.Acquire(0, Range::All(),
-                                        AccessRights::kReadOnly));
-  RETURN_IF_ERROR(FoldRecoveredLocked(state, recovered));
-  if (!state.lower->bound()) {
-    return Status::Ok();  // nothing ever fetched or written
-  }
-  for (auto& [off, block] : state.blocks) {
-    if (!block.dirty) {
-      continue;
-    }
-    RETURN_IF_ERROR(PushToBelow(state, off, block.data.span()));
-    block.dirty = false;
-  }
-  if (state.attrs_valid && state.attrs_dirty) {
-    AttrUpdate update;
-    update.size = state.attrs.size;
-    update.atime_ns = state.attrs.atime_ns;
-    update.mtime_ns = state.attrs.mtime_ns;
-    if (sp<FsPagerObject> fs_pager = state.lower->fs_pager()) {
-      RETURN_IF_ERROR(fs_pager->WriteAttributes(update));
-    } else {
-      RETURN_IF_ERROR(state.under->SetLength(state.attrs.size));
-      RETURN_IF_ERROR(state.under->SetTimes(state.attrs.atime_ns,
-                                            state.attrs.mtime_ns));
-    }
-    state.attrs_dirty = false;
-  }
-  return Status::Ok();
 }
 
 // --- Context / StackableFs / Fs -------------------------------------------
@@ -894,7 +444,8 @@ Result<sp<File>> CoherencyLayer::CreateFile(const Name& name,
       return ErrInvalidArgument("coherency layer not stacked");
     }
     ASSIGN_OR_RETURN(sp<File> under_file, under_->CreateFile(name, creds));
-    ASSIGN_OR_RETURN(sp<CoherentFile> wrapped, WrapFile(under_file));
+    ASSIGN_OR_RETURN(sp<CachedFile<CoherencyLayer>> wrapped,
+                     WrapFile(under_file));
     return sp<File>(wrapped);
   });
 }
@@ -925,15 +476,16 @@ Status CoherencyLayer::SyncFs() {
     }
     for (const sp<FileState>& state : states) {
       std::lock_guard<std::mutex> lock(state->mutex);
-      RETURN_IF_ERROR(SyncFileState(*state));
+      RETURN_IF_ERROR(CachedFile<CoherencyLayer>::SyncState(*this, *state));
     }
     return under_->SyncFs();
   });
 }
 
 void CoherencyLayer::ResetStats() {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  stats_ = Stats{};
+  cache_stats_.Reset();
+  lower_page_ins_ = 0;
+  lower_page_outs_ = 0;
 }
 
 }  // namespace springfs

@@ -16,6 +16,11 @@
 //     operations complete with no calls to the lower layer (the paper's
 //     third Table 2 observation).
 //
+// The client half (the exported file, the client pager entry points) is
+// the shared CachedFile<CoherencyLayer> (src/fs/cached_file.h); this layer
+// supplies its lower half: pages through the lower pager object,
+// attributes through fs_pager.
+//
 // "Using the coherency layer, we can construct coherent file system stacks
 // out of non-coherent layers" (section 6.3): stacking this layer on the
 // non-coherent disk layer yields Spring SFS (Figure 10).
@@ -27,21 +32,16 @@
 #ifndef SPRINGFS_LAYERS_COHERENT_COHERENCY_LAYER_H_
 #define SPRINGFS_LAYERS_COHERENT_COHERENCY_LAYER_H_
 
+#include <atomic>
 #include <map>
 
-#include "src/coherency/engine.h"
+#include "src/fs/cached_file.h"
 #include "src/fs/channel_table.h"
-#include "src/fs/file.h"
-#include "src/fs/lower_channel.h"
 #include "src/obj/domain.h"
 #include "src/obs/metrics.h"
 #include "src/support/clock.h"
 
 namespace springfs {
-
-class CoherentFile;
-template <typename Layer>
-class LayerPager;
 
 struct CoherencyLayerOptions {
   bool cache_data = true;
@@ -105,7 +105,7 @@ class CoherencyLayer : public StackableFs,
   // representation exported to clients and the representation stored in
   // the underlying file system. Transforms must be size-preserving per
   // page and self-inverse under Encode∘Decode; the compression layer,
-  // which is not size-preserving, is a separate implementation (COMPFS).
+  // which is not size-preserving, shares only the client half (COMPFS).
   //
   // `page` holds exactly one kPageSize page at `page_offset` of the file
   // identified by `file_id`.
@@ -125,29 +125,18 @@ class CoherencyLayer : public StackableFs,
   virtual std::string type_name() const { return "coherency"; }
 
  private:
-  friend class CoherentFile;
+  friend class CachedFile<CoherencyLayer>;
   friend class LayerPager<CoherencyLayer>;
   friend class CoherencyLowerCacheObject;
 
-  struct CachedBlock {
-    Buffer data;
-    AccessRights rights = AccessRights::kReadOnly;  // rights held from below
-    bool dirty = false;
-  };
+  // Names of the cached file's op timers and trace spans.
+  static constexpr const char* kTimerPrefix = "layer/coherent";
+  static constexpr const char* kSpanPrefix = "coh";
 
   // Everything the layer knows about one exported file.
-  struct FileState {
-    sp<File> under;                 // the underlying layer's file object
-    uint64_t file_id = 0;           // our identity for this file
-    uint64_t pager_key = 0;         // key our clients' channels use
-    // Our channel to `under`, as its cache manager.
-    sp<LowerChannel> lower = std::make_shared<LowerChannel>("coherency-layer");
-    CoherencyEngine engine;            // MRSW across *client* caches
-    std::map<Offset, CachedBlock> blocks;  // the layer's own data cache
-    FileAttributes attrs;
-    bool attrs_valid = false;
-    bool attrs_dirty = false;
-    std::mutex mutex;
+  struct FileState : CachedFileState {
+    FileState() : CachedFileState("coherency-layer") {}
+    sp<File> under;  // the underlying layer's file object
   };
 
   sp<CoherencyLayer> Self() {
@@ -155,73 +144,58 @@ class CoherencyLayer : public StackableFs,
   }
 
   // Wrapping machinery. WrapResolved wraps what `name` resolved to below:
-  // a file in a CoherentFile, a directory in a PrefixContext.
+  // a file in a CachedFile, a directory in a PrefixContext.
   Result<sp<Object>> WrapResolved(const Name& name, sp<Object> object);
-  Result<sp<CoherentFile>> WrapFile(const sp<File>& under);
+  Result<sp<CachedFile<CoherencyLayer>>> WrapFile(const sp<File>& under);
   sp<Object> UnwrapForBind(sp<Object> object);
   sp<FileState> StateForFile(const sp<File>& under);
 
-  // Binds `state` to the underlying file unless already bound. Called
-  // before `state.mutex` is taken: the bind calls down the stack.
+  // --- CachedFile hooks (src/fs/cached_file.h) ---
+  // Binds `state` to the underlying file unless already bound, before any
+  // client bind and any direct read or write.
   Status EnsureBoundBelow(const sp<FileState>& state);
-
-  // Data-path helpers; `state.mutex` must be held by the caller.
-  Status EnsureBlocks(FileState& state, Offset begin, Offset end,
-                      AccessRights access);
-  Status EnsureAttrs(FileState& state);
-  // Fetches [begin, begin+len) from below and runs DecodeFromBelow on each
-  // page; len must be page-aligned.
-  Result<Buffer> FetchFromBelow(FileState& state, Offset begin, Offset len,
-                                AccessRights access);
-  // Runs EncodeForBelow on each page of `data` and syncs it below.
-  Status PushToBelow(FileState& state, Offset offset, ByteSpan data);
-  Status FoldRecoveredLocked(FileState& state,
-                             const std::vector<BlockData>& blocks);
-
-  // Client-pager entry points (from LayerPager).
-  Result<Buffer> ClientPageIn(FileState& state, uint64_t channel,
-                              Offset offset, Offset size, AccessRights access);
-  Status ClientPageWrite(FileState& state, uint64_t channel, Offset offset,
-                         ByteSpan data, bool drops, bool downgrades,
-                         bool push_below);
-  Result<FileAttributes> ClientGetAttributes(FileState& state);
-  Status ClientWriteAttributes(FileState& state, uint64_t channel,
-                               const AttrUpdate& update);
+  Status EnsureBoundForIo(const sp<FileState>& state) {
+    return EnsureBoundBelow(state);
+  }
+  // Table 2's "Cached by Coherency Layer?" axis: with caching off, the
+  // lower file serves the op.
+  File* UncachedData(FileState& state) const {
+    return options_.cache_data ? nullptr : state.under.get();
+  }
+  File* UncachedAttrs(FileState& state) const {
+    return options_.cache_attrs ? nullptr : state.under.get();
+  }
+  uint32_t read_ahead_pages() const { return options_.read_ahead_pages; }
+  Status LoadAttributes(FileState& state);
+  // Fetches [begin, begin+len) through the lower pager and runs
+  // DecodeFromBelow on each page; len must be page-aligned.
+  Result<Buffer> FillPages(FileState& state, Offset begin, Offset len,
+                           AccessRights* access);
+  // Runs EncodeForBelow on each page of each run and syncs it below.
+  Status StorePages(FileState& state, const std::vector<PageRun>& runs);
+  Status StoreAttributes(FileState& state, const AttrUpdate& update);
+  Status SyncBelow(FileState& state) { return state.under->SyncFile(); }
+  // The lower file is cut when the new size is stored.
+  Status CutBelow(FileState&, Offset) { return Status::Ok(); }
 
   // Lower-cache-object entry points (callbacks from the layer below).
   Result<std::vector<BlockData>> LowerFlushBack(FileState& state, Range range);
   Result<std::vector<BlockData>> LowerDenyWrites(FileState& state, Range range);
-
-  // Pushes a file's dirty blocks and attributes to the layer below.
-  Status SyncFileState(FileState& state);
-
-  // Tells every file-system client cache (fs_cache narrows) except
-  // `except_channel` that its cached attributes are stale. Part of the
-  // section 4.3 attribute coherency protocol.
-  Status BroadcastAttrInvalidate(FileState& state, uint64_t except_channel);
 
   CoherencyLayerOptions options_;
   Clock* clock_;
   sp<StackableFs> under_;
 
   std::mutex mutex_;  // protects the maps below (never held across lower calls)
-  std::map<Object*, sp<CoherentFile>> wrapped_files_;
+  std::map<Object*, sp<CachedFile<CoherencyLayer>>> wrapped_files_;
   std::map<uint64_t, sp<FileState>> states_;  // by file_id
   uint64_t next_file_id_ = 1;
   PagerChannelTable client_channels_;
 
-  // Cache accounting, guarded by stats_mutex_; published via CollectStats.
-  struct Stats {
-    uint64_t data_cache_hits = 0;
-    uint64_t data_cache_misses = 0;
-    uint64_t attr_cache_hits = 0;
-    uint64_t attr_cache_misses = 0;
-    uint64_t lower_page_ins = 0;
-    uint64_t lower_page_outs = 0;
-  };
-
-  mutable std::mutex stats_mutex_;
-  Stats stats_;
+  // Cache accounting; published via CollectStats.
+  CachedFileStats cache_stats_;
+  std::atomic<uint64_t> lower_page_ins_{0};
+  std::atomic<uint64_t> lower_page_outs_{0};
 };
 
 }  // namespace springfs

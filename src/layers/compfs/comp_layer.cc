@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "src/fs/layer_pager.h"
 #include "src/fs/prefix_context.h"
 #include "src/support/logging.h"
 
@@ -94,188 +93,6 @@ class CompLowerCacheObject : public CacheObject, public Servant {
   sp<CompLayer::FileState> state_;
 };
 
-// A compressed file as seen by COMPFS clients (plaintext view).
-class CompFile : public File, public Servant {
- public:
-  CompFile(sp<Domain> domain, sp<CompLayer> layer,
-           sp<CompLayer::FileState> state)
-      : Servant(std::move(domain)), layer_(std::move(layer)),
-        state_(std::move(state)) {}
-
-  const sp<CompLayer::FileState>& state() const { return state_; }
-
-  Result<sp<CacheRights>> Bind(const sp<CacheManager>& caller,
-                               AccessRights) override {
-    return InDomain([&]() -> Result<sp<CacheRights>> {
-      if (layer_->options_.coherent_lower) {
-        RETURN_IF_ERROR(layer_->EnsureBoundBelow(state_));
-      }
-      return LayerPager<CompLayer>::BindClient(layer_, state_, caller);
-    });
-  }
-
-  Result<Offset> GetLength() override {
-    return InDomain([&]() -> Result<Offset> {
-      std::lock_guard<std::mutex> lock(state_->mutex);
-      RETURN_IF_ERROR(layer_->LoadMeta(*state_));
-      return Offset{state_->logical_size};
-    });
-  }
-
-  Status SetLength(Offset length) override {
-    return InDomain([&]() -> Status {
-      std::lock_guard<std::mutex> lock(state_->mutex);
-      RETURN_IF_ERROR(layer_->LoadMeta(*state_));
-      uint64_t old_size = state_->logical_size;
-      state_->logical_size = length;
-      state_->mtime_ns = layer_->clock_->Now();
-      state_->meta_dirty = true;
-      if (length < old_size) {
-        uint64_t keep_blocks = (length + kPageSize - 1) / kPageSize;
-        if (state_->table.size() > keep_blocks) {
-          state_->table.resize(keep_blocks);  // orphans chunks (garbage)
-        }
-        Offset from = PageCeil(length);
-        for (const sp<CacheObject>& cache : state_->engine.Caches()) {
-          RETURN_IF_ERROR(cache->DeleteRange(Range{from, ~Offset{0} - from}));
-        }
-        auto it = state_->cache.lower_bound(from);
-        while (it != state_->cache.end()) {
-          state_->dirty.erase(it->first);
-          it = state_->cache.erase(it);
-        }
-        if (length % kPageSize != 0) {
-          Offset page = PageFloor(length);
-          auto cache_it = state_->cache.find(page);
-          if (cache_it != state_->cache.end()) {
-            size_t cut = length - page;
-            std::memset(cache_it->second.data() + cut, 0, kPageSize - cut);
-            state_->dirty[page] = true;
-          }
-          for (const sp<CacheObject>& cache : state_->engine.Caches()) {
-            RETURN_IF_ERROR(
-                cache->ZeroFill(Range{length, kPageSize - length % kPageSize}));
-          }
-        }
-      }
-      return Status::Ok();
-    });
-  }
-
-  Result<size_t> Read(Offset offset, MutableByteSpan out) override {
-    return InDomain([&]() -> Result<size_t> {
-      std::lock_guard<std::mutex> lock(state_->mutex);
-      RETURN_IF_ERROR(layer_->LoadMeta(*state_));
-      ASSIGN_OR_RETURN(std::vector<BlockData> recovered,
-                       state_->engine.Acquire(0, Range{offset, out.size()},
-                                              AccessRights::kReadOnly));
-      for (const BlockData& block : recovered) {
-        Buffer page = block.data;
-        page.resize(kPageSize);
-        state_->cache[block.offset] = std::move(page);
-        state_->dirty[block.offset] = true;
-      }
-      if (offset >= state_->logical_size) {
-        return size_t{0};
-      }
-      size_t to_read = std::min<uint64_t>(out.size(),
-                                          state_->logical_size - offset);
-      RETURN_IF_ERROR(layer_->EnsureCached(*state_, PageFloor(offset),
-                                           PageCeil(offset + to_read)));
-      size_t done = 0;
-      while (done < to_read) {
-        Offset page = PageFloor(offset + done);
-        size_t in_page = offset + done - page;
-        size_t chunk = std::min<size_t>(kPageSize - in_page, to_read - done);
-        std::memcpy(out.data() + done,
-                    state_->cache.at(page).data() + in_page, chunk);
-        done += chunk;
-      }
-      state_->atime_ns = layer_->clock_->Now();
-      state_->meta_dirty = true;
-      return to_read;
-    });
-  }
-
-  Result<size_t> Write(Offset offset, ByteSpan data) override {
-    return InDomain([&]() -> Result<size_t> {
-      std::lock_guard<std::mutex> lock(state_->mutex);
-      RETURN_IF_ERROR(layer_->LoadMeta(*state_));
-      ASSIGN_OR_RETURN(std::vector<BlockData> recovered,
-                       state_->engine.Acquire(0, Range{offset, data.size()},
-                                              AccessRights::kReadWrite));
-      for (const BlockData& block : recovered) {
-        Buffer page = block.data;
-        page.resize(kPageSize);
-        state_->cache[block.offset] = std::move(page);
-        state_->dirty[block.offset] = true;
-      }
-      RETURN_IF_ERROR(layer_->EnsureCached(*state_, PageFloor(offset),
-                                           PageCeil(offset + data.size())));
-      size_t done = 0;
-      while (done < data.size()) {
-        Offset page = PageFloor(offset + done);
-        size_t in_page = offset + done - page;
-        size_t chunk = std::min<size_t>(kPageSize - in_page,
-                                        data.size() - done);
-        std::memcpy(state_->cache.at(page).data() + in_page,
-                    data.data() + done, chunk);
-        state_->dirty[page] = true;
-        done += chunk;
-      }
-      state_->logical_size = std::max<uint64_t>(state_->logical_size,
-                                                offset + data.size());
-      state_->mtime_ns = layer_->clock_->Now();
-      state_->meta_dirty = true;
-      {
-        std::lock_guard<std::mutex> stats_lock(layer_->stats_mutex_);
-        layer_->stats_.bytes_logical += data.size();
-      }
-      return data.size();
-    });
-  }
-
-  Result<FileAttributes> Stat() override {
-    return InDomain([&] { return layer_->ClientGetAttributes(*state_); });
-  }
-
-  Status SetTimes(uint64_t atime_ns, uint64_t mtime_ns) override {
-    return InDomain([&]() -> Status {
-      std::lock_guard<std::mutex> lock(state_->mutex);
-      RETURN_IF_ERROR(layer_->LoadMeta(*state_));
-      state_->atime_ns = atime_ns;
-      state_->mtime_ns = mtime_ns;
-      state_->meta_dirty = true;
-      return Status::Ok();
-    });
-  }
-
-  Status SyncFile() override {
-    return InDomain([&]() -> Status {
-      {
-        std::lock_guard<std::mutex> lock(state_->mutex);
-        // Recall the freshest data from client writers first.
-        ASSIGN_OR_RETURN(std::vector<BlockData> recovered,
-                         state_->engine.Acquire(0, Range::All(),
-                                                AccessRights::kReadOnly));
-        for (const BlockData& block : recovered) {
-          Buffer page = block.data;
-          page.resize(kPageSize);
-          state_->cache[block.offset] = std::move(page);
-          state_->dirty[block.offset] = true;
-        }
-        RETURN_IF_ERROR(layer_->FlushDirty(*state_));
-      }
-      RETURN_IF_ERROR(state_->under_data->SyncFile());
-      return state_->under_meta->SyncFile();
-    });
-  }
-
- private:
-  sp<CompLayer> layer_;
-  sp<CompLayer::FileState> state_;
-};
-
 // --- CompLayer --------------------------------------------------------------
 
 sp<CompLayer> CompLayer::Create(sp<Domain> domain, CompLayerOptions options,
@@ -317,8 +134,8 @@ Status CompLayer::StackOn(sp<StackableFs> underlying) {
   });
 }
 
-Result<sp<CompFile>> CompLayer::WrapFile(const Name& name,
-                                         const sp<File>& under_data) {
+Result<sp<CachedFile<CompLayer>>> CompLayer::WrapFile(
+    const Name& name, const sp<File>& under_data) {
   std::string key = name.ToString();
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -348,7 +165,7 @@ Result<sp<CompFile>> CompLayer::WrapFile(const Name& name,
   state->under_data = under_data;
   state->under_meta = under_meta;
   state->name = key;
-  state->atime_ns = state->mtime_ns = clock_->Now();
+  state->attrs.atime_ns = state->attrs.mtime_ns = clock_->Now();
   sp<CompLayer> self = Self();
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = wrapped_files_.find(key);
@@ -357,7 +174,7 @@ Result<sp<CompFile>> CompLayer::WrapFile(const Name& name,
   }
   state->file_id = next_file_id_++;
   state->pager_key = NewPagerKey();
-  auto wrapped = std::make_shared<CompFile>(domain(), self, state);
+  auto wrapped = std::make_shared<CachedFile<CompLayer>>(self, state);
   wrapped_files_.emplace(key, wrapped);
   return wrapped;
 }
@@ -365,7 +182,7 @@ Result<sp<CompFile>> CompLayer::WrapFile(const Name& name,
 Result<sp<Object>> CompLayer::WrapResolved(const Name& name,
                                            sp<Object> object) {
   if (sp<File> file = narrow<File>(object)) {
-    ASSIGN_OR_RETURN(sp<CompFile> wrapped, WrapFile(name, file));
+    ASSIGN_OR_RETURN(sp<CachedFile<CompLayer>> wrapped, WrapFile(name, file));
     return sp<Object>(wrapped);
   }
   if (narrow<Context>(object)) {
@@ -465,7 +282,8 @@ Result<sp<File>> CompLayer::CreateFile(const Name& name,
       return ErrInvalidArgument("invalid compfs file name");
     }
     ASSIGN_OR_RETURN(sp<File> under_data, under_->CreateFile(name, creds));
-    ASSIGN_OR_RETURN(sp<CompFile> wrapped, WrapFile(name, under_data));
+    ASSIGN_OR_RETURN(sp<CachedFile<CompLayer>> wrapped,
+                     WrapFile(name, under_data));
     return sp<File>(wrapped);
   });
 }
@@ -487,20 +305,20 @@ Status CompLayer::SyncFs() {
     if (!under_) {
       return ErrInvalidArgument("compfs not stacked");
     }
-    std::vector<sp<CompFile>> files;
+    std::vector<sp<CachedFile<CompLayer>>> files;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       for (auto& [name, file] : wrapped_files_) {
         files.push_back(file);
       }
     }
-    for (const sp<CompFile>& file : files) {
+    for (const sp<CachedFile<CompLayer>>& file : files) {
       const sp<FileState>& state = file->state();
       std::lock_guard<std::mutex> lock(state->mutex);
-      if (!state->meta_loaded) {
+      RETURN_IF_ERROR(CachedFile<CompLayer>::SyncState(*this, *state));
+      if (!state->attrs_valid) {
         continue;
       }
-      RETURN_IF_ERROR(FlushDirty(*state));
       // Auto-compaction: reclaim when the chunk store outgrew live data.
       uint64_t live = 0;
       for (const ChunkEntry& entry : state->table) {
@@ -520,6 +338,9 @@ Status CompLayer::SyncFs() {
 // --- binding below (Figure 6) ----------------------------------------------
 
 Status CompLayer::EnsureBoundBelow(const sp<FileState>& state) {
+  if (!options_.coherent_lower) {
+    return Status::Ok();  // Figure 5: never bound below
+  }
   bool fresh = false;
   RETURN_IF_ERROR(state->lower->Ensure(*state->under_data, [&] {
     fresh = true;
@@ -533,31 +354,23 @@ Status CompLayer::EnsureBoundBelow(const sp<FileState>& state) {
   // interface, with no holdings registered at the layer below. Drop the
   // derived caches so future loads go through the pager channel and the
   // layer below knows what we hold.
-  for (auto it = state->cache.begin(); it != state->cache.end();) {
-    auto dirty_it = state->dirty.find(it->first);
-    bool is_dirty = dirty_it != state->dirty.end() && dirty_it->second;
-    it = is_dirty ? std::next(it) : state->cache.erase(it);
-  }
-  if (!state->meta_dirty) {
-    state->meta_loaded = false;
-  }
+  DropDerivedCaches(*state);
   return Status::Ok();
 }
 
 Status CompLayer::LowerInvalidate(FileState& state) {
   std::lock_guard<std::mutex> lock(state.mutex);
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    ++stats_.lower_invalidations;
-  }
-  // Derived caches are stale; dirty plaintext (our own new data) survives.
-  for (auto it = state.cache.begin(); it != state.cache.end();) {
-    auto dirty_it = state.dirty.find(it->first);
-    bool is_dirty = dirty_it != state.dirty.end() && dirty_it->second;
-    it = is_dirty ? std::next(it) : state.cache.erase(it);
-  }
-  state.meta_loaded = state.meta_dirty;  // reload unless we own newer meta
+  ++stats_.lower_invalidations;
+  DropDerivedCaches(state);
   return Status::Ok();
+}
+
+void CompLayer::DropDerivedCaches(FileState& state) {
+  // Dirty plaintext (our own new data) survives; the table and header are
+  // reloaded unless we own newer ones.
+  std::erase_if(state.pages,
+                [](const auto& page) { return !page.second.dirty; });
+  state.attrs_valid = state.attrs_dirty;
 }
 
 // --- lower access ------------------------------------------------------------
@@ -607,18 +420,14 @@ Status CompLayer::LowerWrite(FileState& state, Offset offset, ByteSpan data) {
 
 // --- metadata ----------------------------------------------------------------
 
-Status CompLayer::LoadMeta(FileState& state) {
-  if (state.meta_loaded) {
-    return Status::Ok();
-  }
+Status CompLayer::LoadAttributes(FileState& state) {
   ASSIGN_OR_RETURN(FileAttributes meta_attrs, state.under_meta->Stat());
   if (meta_attrs.size == 0) {
     // Fresh file: empty table.
-    state.logical_size = 0;
+    state.attrs.size = 0;
     state.next_free = 0;
     state.table.clear();
-    state.meta_loaded = true;
-    state.meta_dirty = true;
+    state.attrs_dirty = true;
     return Status::Ok();
   }
   Buffer raw(meta_attrs.size);
@@ -635,11 +444,11 @@ Status CompLayer::LoadMeta(FileState& state) {
       GetU32At(raw.span(), 4) != kCompVersion) {
     return ErrCorrupted("compfs metadata bad magic/version");
   }
-  state.logical_size = GetU64At(raw.span(), 8);
+  state.attrs.size = GetU64At(raw.span(), 8);
   state.next_free = GetU64At(raw.span(), 16);
   uint64_t block_count = GetU64At(raw.span(), 24);
-  state.atime_ns = GetU64At(raw.span(), 32);
-  state.mtime_ns = GetU64At(raw.span(), 40);
+  state.attrs.atime_ns = GetU64At(raw.span(), 32);
+  state.attrs.mtime_ns = GetU64At(raw.span(), 40);
   if (raw.size() != kMetaHeaderSize + block_count * kMetaEntrySize + 4) {
     return ErrCorrupted("compfs metadata size mismatch");
   }
@@ -653,8 +462,6 @@ Status CompLayer::LoadMeta(FileState& state) {
     entry.raw = (GetU32At(raw.span(), at + 12) & 1) != 0;
     state.table.push_back(entry);
   }
-  state.meta_loaded = true;
-  state.meta_dirty = false;
   return Status::Ok();
 }
 
@@ -662,11 +469,11 @@ Status CompLayer::StoreMeta(FileState& state) {
   Buffer raw(kMetaHeaderSize + state.table.size() * kMetaEntrySize + 4);
   PutU32At(raw, 0, kCompMagic);
   PutU32At(raw, 4, kCompVersion);
-  PutU64At(raw, 8, state.logical_size);
+  PutU64At(raw, 8, state.attrs.size);
   PutU64At(raw, 16, state.next_free);
   PutU64At(raw, 24, state.table.size());
-  PutU64At(raw, 32, state.atime_ns);
-  PutU64At(raw, 40, state.mtime_ns);
+  PutU64At(raw, 32, state.attrs.atime_ns);
+  PutU64At(raw, 40, state.attrs.mtime_ns);
   for (size_t i = 0; i < state.table.size(); ++i) {
     size_t at = kMetaHeaderSize + i * kMetaEntrySize;
     PutU64At(raw, at, state.table[i].offset);
@@ -679,7 +486,7 @@ Status CompLayer::StoreMeta(FileState& state) {
     return ErrIoError("short metadata write");
   }
   RETURN_IF_ERROR(state.under_meta->SetLength(raw.size()));
-  state.meta_dirty = false;
+  state.attrs_dirty = false;
   return Status::Ok();
 }
 
@@ -704,10 +511,7 @@ Result<Buffer> CompLayer::LoadBlock(FileState& state, uint64_t block_index) {
     }
     return chunk;
   }
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    ++stats_.blocks_decompressed;
-  }
+  ++stats_.blocks_decompressed;
   return codec_->Decompress(chunk.span(), kPageSize);
 }
 
@@ -725,47 +529,55 @@ Status CompLayer::StoreBlock(FileState& state, uint64_t block_index,
   }
   state.table[block_index] =
       ChunkEntry{offset, static_cast<uint32_t>(chunk.size()), raw};
-  state.meta_dirty = true;
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    ++stats_.blocks_compressed;
-    if (raw) {
-      ++stats_.blocks_stored_raw;
-    }
-    stats_.bytes_stored += chunk.size();
+  state.attrs_dirty = true;
+  ++stats_.blocks_compressed;
+  if (raw) {
+    ++stats_.blocks_stored_raw;
   }
+  stats_.bytes_stored += chunk.size();
   return Status::Ok();
 }
 
-Status CompLayer::EnsureCached(FileState& state, Offset begin, Offset end) {
-  for (Offset page = begin; page < end; page += kPageSize) {
-    if (state.cache.count(page)) {
-      continue;
-    }
-    ASSIGN_OR_RETURN(Buffer block, LoadBlock(state, page / kPageSize));
-    state.cache.emplace(page, std::move(block));
-    state.dirty[page] = false;
+Result<Buffer> CompLayer::FillPages(FileState& state, Offset begin,
+                                    Offset len, AccessRights* access) {
+  RETURN_IF_ERROR(CachedFile<CompLayer>::EnsureAttrs(*this, state));
+  Buffer out(len);
+  for (Offset off = 0; off < len; off += kPageSize) {
+    ASSIGN_OR_RETURN(Buffer page, LoadBlock(state, (begin + off) / kPageSize));
+    out.WriteAt(off, page.span());
   }
-  return Status::Ok();
+  // COMPFS holds no per-page rights below: a page it caches is writable.
+  *access = AccessRights::kReadWrite;
+  return out;
 }
 
-Status CompLayer::FlushDirty(FileState& state) {
-  for (auto& [page, is_dirty] : state.dirty) {
-    if (!is_dirty) {
-      continue;
+Status CompLayer::StorePages(FileState& state,
+                             const std::vector<PageRun>& runs) {
+  RETURN_IF_ERROR(CachedFile<CompLayer>::EnsureAttrs(*this, state));
+  for (const PageRun& run : runs) {
+    for (Offset off = 0; off < run.data.size(); off += kPageSize) {
+      RETURN_IF_ERROR(StoreBlock(state, (run.offset + off) / kPageSize,
+                                 run.data.subspan(off, kPageSize)));
     }
-    RETURN_IF_ERROR(StoreBlock(state, page / kPageSize,
-                               state.cache.at(page).span()));
-    is_dirty = false;
   }
-  if (state.meta_dirty) {
-    RETURN_IF_ERROR(StoreMeta(state));
+  return state.attrs_dirty ? StoreMeta(state) : Status::Ok();
+}
+
+Status CompLayer::SyncBelow(FileState& state) {
+  RETURN_IF_ERROR(state.under_data->SyncFile());
+  return state.under_meta->SyncFile();
+}
+
+Status CompLayer::CutBelow(FileState& state, Offset length) {
+  uint64_t keep_blocks = (length + kPageSize - 1) / kPageSize;
+  if (state.table.size() > keep_blocks) {
+    state.table.resize(keep_blocks);  // orphans chunks (garbage)
   }
   return Status::Ok();
 }
 
 Status CompLayer::CompactLocked(FileState& state, uint64_t* reclaimed) {
-  RETURN_IF_ERROR(FlushDirty(state));
+  RETURN_IF_ERROR(CachedFile<CompLayer>::SyncState(*this, state));
   uint64_t before = state.next_free;
   // Rebuild the chunk store: copy every live chunk into a fresh image.
   Buffer image;
@@ -788,15 +600,11 @@ Status CompLayer::CompactLocked(FileState& state, uint64_t* reclaimed) {
   RETURN_IF_ERROR(state.under_data->SetLength(image.size()));
   state.table = std::move(new_table);
   state.next_free = image.size();
-  state.meta_dirty = true;
   RETURN_IF_ERROR(StoreMeta(state));
   if (reclaimed) {
     *reclaimed = before > state.next_free ? before - state.next_free : 0;
   }
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    ++stats_.compactions;
-  }
+  ++stats_.compactions;
   return Status::Ok();
 }
 
@@ -804,124 +612,41 @@ Result<uint64_t> CompLayer::Compact(const Name& name,
                                     const Credentials& creds) {
   return InDomain([&]() -> Result<uint64_t> {
     ASSIGN_OR_RETURN(sp<Object> object, Resolve(name, creds));
-    sp<CompFile> file = narrow<CompFile>(object);
+    auto file = narrow<CachedFile<CompLayer>>(object);
     if (!file) {
       return ErrWrongType("not a compfs file");
     }
     const sp<FileState>& state = file->state();
     std::lock_guard<std::mutex> lock(state->mutex);
-    RETURN_IF_ERROR(LoadMeta(*state));
+    RETURN_IF_ERROR(CachedFile<CompLayer>::EnsureAttrs(*this, *state));
     uint64_t reclaimed = 0;
     RETURN_IF_ERROR(CompactLocked(*state, &reclaimed));
     return reclaimed;
   });
 }
 
-// --- client pager paths -------------------------------------------------------
-
-Result<Buffer> CompLayer::ClientPageIn(FileState& state, uint64_t channel,
-                                       Offset offset, Offset size,
-                                       AccessRights access) {
-  std::lock_guard<std::mutex> lock(state.mutex);
-  RETURN_IF_ERROR(LoadMeta(state));
-  Offset begin = PageFloor(offset);
-  Offset end = PageCeil(offset + std::max<Offset>(size, 1));
-  ASSIGN_OR_RETURN(std::vector<BlockData> recovered,
-                   state.engine.Acquire(channel, Range::FromTo(begin, end),
-                                        access));
-  for (const BlockData& block : recovered) {
-    Buffer page = block.data;
-    page.resize(kPageSize);
-    state.cache[block.offset] = std::move(page);
-    state.dirty[block.offset] = true;
-  }
-  RETURN_IF_ERROR(EnsureCached(state, begin, end));
-  Buffer out(end - begin);
-  for (Offset page = begin; page < end; page += kPageSize) {
-    out.WriteAt(page - begin, state.cache.at(page).span());
-  }
-  return out;
-}
-
-Status CompLayer::ClientPageWrite(FileState& state, uint64_t channel,
-                                  Offset offset, ByteSpan data, bool drops,
-                                  bool downgrades, bool push_below) {
-  std::lock_guard<std::mutex> lock(state.mutex);
-  RETURN_IF_ERROR(LoadMeta(state));
-  if (offset % kPageSize != 0 || data.size() % kPageSize != 0) {
-    return ErrInvalidArgument("page write must be page-aligned");
-  }
-  for (Offset off = 0; off < data.size(); off += kPageSize) {
-    Buffer page(data.subspan(off, kPageSize));
-    if (push_below) {
-      RETURN_IF_ERROR(StoreBlock(state, (offset + off) / kPageSize,
-                                 page.span()));
-      state.cache[offset + off] = std::move(page);
-      state.dirty[offset + off] = false;
-    } else {
-      state.cache[offset + off] = std::move(page);
-      state.dirty[offset + off] = true;
-    }
-  }
-  if (push_below && state.meta_dirty) {
-    RETURN_IF_ERROR(StoreMeta(state));
-  }
-  if (drops) {
-    state.engine.ReleaseDropped(channel, Range{offset, data.size()});
-  } else if (downgrades) {
-    state.engine.ReleaseDowngraded(channel, Range{offset, data.size()});
-  }
-  state.mtime_ns = clock_->Now();
-  state.meta_dirty = true;
-  return Status::Ok();
-}
-
-Result<FileAttributes> CompLayer::ClientGetAttributes(FileState& state) {
-  std::lock_guard<std::mutex> lock(state.mutex);
-  RETURN_IF_ERROR(LoadMeta(state));
-  FileAttributes attrs;
-  attrs.kind = FileKind::kRegular;
-  attrs.size = state.logical_size;
-  attrs.atime_ns = state.atime_ns;
-  attrs.mtime_ns = state.mtime_ns;
-  return attrs;
-}
-
-Status CompLayer::ClientWriteAttributes(FileState& state, uint64_t,
-                                        const AttrUpdate& update) {
-  std::lock_guard<std::mutex> lock(state.mutex);
-  RETURN_IF_ERROR(LoadMeta(state));
-  if (update.size) {
-    state.logical_size = *update.size;
-  }
-  if (update.atime_ns) {
-    state.atime_ns = *update.atime_ns;
-  }
-  if (update.mtime_ns) {
-    state.mtime_ns = *update.mtime_ns;
-  }
-  state.meta_dirty = true;
-  return Status::Ok();
-}
-
 void CompLayer::CollectStats(const metrics::StatsEmitter& emit) const {
-  Stats snapshot;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    snapshot = stats_;
-  }
-  emit("blocks_compressed", snapshot.blocks_compressed);
-  emit("blocks_decompressed", snapshot.blocks_decompressed);
-  emit("blocks_stored_raw", snapshot.blocks_stored_raw);
-  emit("bytes_logical", snapshot.bytes_logical);
-  emit("bytes_stored", snapshot.bytes_stored);
-  emit("compactions", snapshot.compactions);
-  emit("lower_invalidations", snapshot.lower_invalidations);
+  emit("blocks_compressed", stats_.blocks_compressed);
+  emit("blocks_decompressed", stats_.blocks_decompressed);
+  emit("blocks_stored_raw", stats_.blocks_stored_raw);
+  emit("bytes_logical", cache_stats_.bytes_written);
+  emit("bytes_stored", stats_.bytes_stored);
+  emit("compactions", stats_.compactions);
+  emit("lower_invalidations", stats_.lower_invalidations);
+  emit("data_cache_hits", cache_stats_.data_hits);
+  emit("data_cache_misses", cache_stats_.data_misses);
+  emit("attr_cache_hits", cache_stats_.attr_hits);
+  emit("attr_cache_misses", cache_stats_.attr_misses);
 }
 
 void CompLayer::ResetStats() {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  stats_ = Stats{};
+  cache_stats_.Reset();
+  for (auto* counter :
+       {&stats_.blocks_compressed, &stats_.blocks_decompressed,
+        &stats_.blocks_stored_raw, &stats_.bytes_stored, &stats_.compactions,
+        &stats_.lower_invalidations}) {
+    counter->store(0);
+  }
 }
 
 }  // namespace springfs

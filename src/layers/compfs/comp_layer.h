@@ -6,14 +6,21 @@
 // are not interested in rewriting an on-disk file system, we can implement
 // COMPFS as a layer on top of a base file system."
 //
-// Unlike the encryption layer, compression is not size-preserving, so
-// COMPFS cannot reuse the coherency layer's 1:1 block mapping. Each COMPFS
-// file is backed by TWO underlying files (the paper: "There need not be a
-// one-to-one correspondence between the files exported by a given layer and
-// its underlying layers"):
+// Like the coherency layer, COMPFS is a pager to the caches above it and
+// exports the shared client half, CachedFile<CompLayer>
+// (src/fs/cached_file.h): decompressed pages and attributes cached per
+// file, the MRSW protocol across client caches, attribute invalidations to
+// the caches bound above. Only its lower half differs. Compression is not
+// size-preserving, so a page does not map 1:1 onto a page below: each
+// COMPFS file is backed by TWO underlying files (the paper: "There need not
+// be a one-to-one correspondence between the files exported by a given
+// layer and its underlying layers"):
 //
 //   <name>        — an append-only chunk store of compressed blocks
 //   <name>.cmeta  — header + per-logical-block chunk table
+//
+// A page is filled by decompressing its chunk, stored by appending a fresh
+// chunk, and the attributes live in the .cmeta header.
 //
 // Incompressible blocks are stored raw (flagged in the table). Rewritten
 // blocks append a fresh chunk and orphan the old one; Compact() rewrites
@@ -25,30 +32,26 @@
 //     files through their read/write interface only. Mappings of the
 //     COMPFS file and direct access to the underlying file are NOT
 //     coherent with each other.
-//   Figure 6 (options.coherent_lower = true): COMPFS additionally binds to
-//     the underlying data file as a *cache manager* (the C3-P3 connection),
-//     so the layer below engages COMPFS in its coherency protocol and
-//     direct writes to the underlying file invalidate COMPFS's caches.
+//   Figure 6 (options.coherent_lower = true): when a client binds a COMPFS
+//     file, COMPFS additionally binds to the underlying data file as a
+//     *cache manager* (the C3-P3 connection), so the layer below engages
+//     COMPFS in its coherency protocol and direct writes to the underlying
+//     file invalidate COMPFS's caches.
 
 #ifndef SPRINGFS_LAYERS_COMPFS_COMP_LAYER_H_
 #define SPRINGFS_LAYERS_COMPFS_COMP_LAYER_H_
 
+#include <atomic>
 #include <map>
 
 #include "src/codec/codec.h"
-#include "src/coherency/engine.h"
+#include "src/fs/cached_file.h"
 #include "src/fs/channel_table.h"
-#include "src/fs/file.h"
-#include "src/fs/lower_channel.h"
 #include "src/obj/domain.h"
 #include "src/obs/metrics.h"
 #include "src/support/clock.h"
 
 namespace springfs {
-
-class CompFile;
-template <typename Layer>
-class LayerPager;
 
 struct CompLayerOptions {
   std::string codec = "lz77";
@@ -103,21 +106,24 @@ class CompLayer : public StackableFs,
   void ResetStats();
 
  private:
-  friend class CompFile;
+  friend class CachedFile<CompLayer>;
   friend class LayerPager<CompLayer>;
   friend class CompLowerCacheObject;
 
+  // Names of the cached file's op timers and trace spans.
+  static constexpr const char* kTimerPrefix = "layer/compfs";
+  static constexpr const char* kSpanPrefix = "compfs";
+
   CompLayer(sp<Domain> domain, CompLayerOptions options, Clock* clock);
 
-  // Codec accounting, guarded by stats_mutex_; published via CollectStats.
+  // Codec accounting; published via CollectStats.
   struct Stats {
-    uint64_t blocks_compressed = 0;
-    uint64_t blocks_decompressed = 0;
-    uint64_t blocks_stored_raw = 0;
-    uint64_t bytes_logical = 0;    // plaintext bytes written
-    uint64_t bytes_stored = 0;     // chunk bytes appended
-    uint64_t compactions = 0;
-    uint64_t lower_invalidations = 0;  // coherency callbacks from below
+    std::atomic<uint64_t> blocks_compressed{0};
+    std::atomic<uint64_t> blocks_decompressed{0};
+    std::atomic<uint64_t> blocks_stored_raw{0};
+    std::atomic<uint64_t> bytes_stored{0};  // chunk bytes appended
+    std::atomic<uint64_t> compactions{0};
+    std::atomic<uint64_t> lower_invalidations{0};  // callbacks from below
   };
 
   // One chunk-table entry: where a logical block lives in the chunk store.
@@ -127,31 +133,15 @@ class CompLayer : public StackableFs,
     bool raw = false;     // stored uncompressed
   };
 
-  struct FileState {
-    sp<File> under_data;   // chunk store
-    sp<File> under_meta;   // serialized header + table
-    uint64_t file_id = 0;
-    uint64_t pager_key = 0;
-    std::string name;      // for diagnostics and compaction
-
-    bool meta_loaded = false;
-    bool meta_dirty = false;
-    uint64_t logical_size = 0;
-    uint64_t next_free = 0;          // append position in the chunk store
-    std::vector<ChunkEntry> table;   // indexed by logical block
-
-    // Decompressed-block cache + client coherency.
-    std::map<Offset, Buffer> cache;  // page-aligned offset -> plaintext page
-    std::map<Offset, bool> dirty;
-    CoherencyEngine engine;
-
-    // Figure 6: our channel to `under_data`, as its cache manager.
-    sp<LowerChannel> lower = std::make_shared<LowerChannel>("compfs");
-
-    uint64_t atime_ns = 0;
-    uint64_t mtime_ns = 0;
-
-    std::mutex mutex;
+  // The cached state's attributes are the .cmeta header's: valid once the
+  // table is loaded, dirty while the table or header needs storing.
+  struct FileState : CachedFileState {
+    FileState() : CachedFileState("compfs") {}
+    sp<File> under_data;  // chunk store
+    sp<File> under_meta;  // serialized header + table
+    std::string name;     // for diagnostics and compaction
+    uint64_t next_free = 0;         // append position in the chunk store
+    std::vector<ChunkEntry> table;  // indexed by logical block
   };
 
   static bool IsMetaName(const std::string& component);
@@ -161,24 +151,46 @@ class CompLayer : public StackableFs,
     return std::dynamic_pointer_cast<CompLayer>(shared_from_this());
   }
 
-  // Wraps what `name` resolved to below: a file in a CompFile, a directory
-  // in a PrefixContext.
+  // Wraps what `name` resolved to below: a file in a CachedFile, a
+  // directory in a PrefixContext.
   Result<sp<Object>> WrapResolved(const Name& name, sp<Object> object);
-  Result<sp<CompFile>> WrapFile(const Name& name, const sp<File>& under_data);
-  // Figure 6: binds the data file below unless already bound; a new
-  // channel drops the clean derived caches, which were filled through the
-  // file interface with no holdings registered below.
-  Status EnsureBoundBelow(const sp<FileState>& state);
+  Result<sp<CachedFile<CompLayer>>> WrapFile(const Name& name,
+                                             const sp<File>& under_data);
 
-  // Metadata (de)serialization; state.mutex held.
-  Status LoadMeta(FileState& state);
+  // --- CachedFile hooks (src/fs/cached_file.h) ---
+  // Figure 6: binds the data file below when a client binds, unless
+  // already bound; a new channel drops the clean derived caches, which
+  // were filled through the file interface with no holdings registered
+  // below.
+  Status EnsureBoundBelow(const sp<FileState>& state);
+  // Direct reads and writes use the file interface until a client binds:
+  // compaction shrinks the data file, and on a bound channel the layer
+  // below would call back into the file state compaction holds locked.
+  Status EnsureBoundForIo(const sp<FileState>&) { return Status::Ok(); }
+  // COMPFS always caches.
+  File* UncachedData(FileState&) const { return nullptr; }
+  File* UncachedAttrs(FileState&) const { return nullptr; }
+  uint32_t read_ahead_pages() const { return 0; }
+  // Loads the .cmeta header and chunk table.
+  Status LoadAttributes(FileState& state);
+  // Decompresses each page's chunk; the pages are held read-write.
+  Result<Buffer> FillPages(FileState& state, Offset begin, Offset len,
+                           AccessRights* access);
+  // Appends a chunk per page, then stores the table that reaches them.
+  Status StorePages(FileState& state, const std::vector<PageRun>& runs);
+  Status StoreAttributes(FileState& state, const AttrUpdate&) {
+    return StoreMeta(state);
+  }
+  Status SyncBelow(FileState& state);
+  // Drops the table entries past the new EOF (their chunks become garbage).
+  Status CutBelow(FileState& state, Offset length);
+
+  // .cmeta serialization; state.mutex held.
   Status StoreMeta(FileState& state);
 
   // Block access; state.mutex held.
   Result<Buffer> LoadBlock(FileState& state, uint64_t block_index);
   Status StoreBlock(FileState& state, uint64_t block_index, ByteSpan page);
-  Status EnsureCached(FileState& state, Offset begin, Offset end);
-  Status FlushDirty(FileState& state);
   Status CompactLocked(FileState& state, uint64_t* reclaimed);
 
   // Reads/writes bytes of the underlying data file, via the pager channel
@@ -187,18 +199,11 @@ class CompLayer : public StackableFs,
                            MutableByteSpan out);
   Status LowerWrite(FileState& state, Offset offset, ByteSpan data);
 
-  // Client-pager entry points.
-  Result<Buffer> ClientPageIn(FileState& state, uint64_t channel,
-                              Offset offset, Offset size, AccessRights access);
-  Status ClientPageWrite(FileState& state, uint64_t channel, Offset offset,
-                         ByteSpan data, bool drops, bool downgrades,
-                         bool push_below);
-  Result<FileAttributes> ClientGetAttributes(FileState& state);
-  Status ClientWriteAttributes(FileState& state, uint64_t channel,
-                               const AttrUpdate& update);
-
   // Lower coherency callbacks (Figure 6): drop caches.
   Status LowerInvalidate(FileState& state);
+  // Drops the clean pages and the table decoded from below; state.mutex
+  // held.
+  void DropDerivedCaches(FileState& state);
 
   CompLayerOptions options_;
   const Codec* codec_;
@@ -206,11 +211,12 @@ class CompLayer : public StackableFs,
   sp<StackableFs> under_;
 
   std::mutex mutex_;
-  std::map<std::string, sp<CompFile>> wrapped_files_;  // by full path
+  // By full path.
+  std::map<std::string, sp<CachedFile<CompLayer>>> wrapped_files_;
   uint64_t next_file_id_ = 1;
   PagerChannelTable client_channels_;
 
-  mutable std::mutex stats_mutex_;
+  CachedFileStats cache_stats_;
   Stats stats_;
 };
 

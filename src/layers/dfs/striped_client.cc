@@ -398,6 +398,9 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
 
   for (;;) {
     bool map_stale = false;
+    // Some extent ran out of replicas this round while the map marked one
+    // of them stale; a rebuild may have revived it since, so refetch.
+    bool replicas_exhausted = false;
     Status failure = Status::Ok();
     std::set<size_t> failed_targets;
 
@@ -514,9 +517,14 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
     // Submits a single-replica extent to its first untried fresh replica;
     // false when none is left this round.
     auto submit_single = [&](size_t i) -> bool {
+      bool skipped_ineligible = false;
       for (size_t r = 0; r < layout.replicas(); ++r) {
         size_t t = layout.ReplicaTarget(exts[i].target, r);
-        if (!eligible(t, r) || tried[i].count(r)) {
+        if (!eligible(t, r)) {
+          skipped_ineligible = true;
+          continue;
+        }
+        if (tried[i].count(r)) {
           continue;
         }
         if (submit(i, r)) {
@@ -524,6 +532,7 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
         }
         tried[i].insert(r);
       }
+      replicas_exhausted |= skipped_ineligible;
       return false;
     };
 
@@ -544,6 +553,7 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
           }
         }
         if (eligible_count == 0) {
+          replicas_exhausted = true;
           failure = ErrTimedOut("no fresh replica for a stripe extent");
         }
       } else if (!submit_single(i)) {
@@ -682,12 +692,13 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
     client_->Bump(&StripedDfsClient::Stats::data_retries);
     flight::Record(flight::Severity::kInfo, "dfs_striped", "fan-out retry",
                    retry.attempt, map_stale ? 1 : 0);
-    if (map_stale) {
+    if (map_stale || replicas_exhausted) {
       // Best effort: a failed refresh leaves the stale bindings in place
       // and the remaining attempts keep trying.
       (void)RefreshMap();
-    } else if (mutating && layout.replicas() > 1 &&
-               retry.attempt >= kDegradeAfterRounds) {
+    }
+    if (!map_stale && mutating && layout.replicas() > 1 &&
+        retry.attempt >= kDegradeAfterRounds) {
       // Targets that failed plain retries get reported stale so the write
       // can complete degraded; the MDS refuses to strand the last fresh
       // replica set, so a total outage keeps retrying instead.

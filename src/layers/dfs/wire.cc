@@ -3,6 +3,19 @@
 #include "src/layers/dfs/protocol.h"
 
 namespace springfs::dfs {
+namespace {
+
+// Element counts in a body are attacker/corruption-controlled; each decoded
+// element consumes at least a few bytes, so any count larger than the wire
+// size is corrupt — reject it before reserving.
+Status CheckCount(uint32_t n, ByteSpan wire) {
+  if (n > wire.size()) {
+    return ErrCorrupted("element count exceeds body size");
+  }
+  return Status::Ok();
+}
+
+}  // namespace
 
 void WireWriter::U32(uint32_t v) {
   uint8_t raw[4];
@@ -139,6 +152,7 @@ Result<ReadDirResponse> ReadDirResponse::Decode(ByteSpan wire) {
   WireReader r(wire);
   ReadDirResponse out;
   ASSIGN_OR_RETURN(uint32_t n, r.U32());
+  RETURN_IF_ERROR(CheckCount(n, wire));
   out.entries.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     Entry entry;
@@ -505,6 +519,7 @@ Result<StripeMapResponse> StripeMapResponse::Decode(ByteSpan wire) {
   ASSIGN_OR_RETURN(out.replicas, r.U32());
   ASSIGN_OR_RETURN(out.object_name, r.Str());
   ASSIGN_OR_RETURN(uint32_t n, r.U32());
+  RETURN_IF_ERROR(CheckCount(n, wire));
   out.targets.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     Target target;
@@ -513,6 +528,7 @@ Result<StripeMapResponse> StripeMapResponse::Decode(ByteSpan wire) {
     ASSIGN_OR_RETURN(uint32_t stale, r.U32());
     target.stale = stale != 0;
     ASSIGN_OR_RETURN(uint32_t lanes, r.U32());
+    RETURN_IF_ERROR(CheckCount(lanes, wire));
     target.lane_handles.reserve(lanes);
     for (uint32_t lane = 0; lane < lanes; ++lane) {
       ASSIGN_OR_RETURN(uint64_t handle, r.U64());
@@ -541,20 +557,6 @@ Result<ReportStaleRequest> ReportStaleRequest::Decode(ByteSpan wire) {
 }
 
 // --- telemetry ---
-
-namespace {
-
-// Element counts in telemetry bodies are attacker/corruption-controlled;
-// each decoded element consumes at least a few bytes, so any count larger
-// than the remaining wire size is corrupt — reject it before reserving.
-Status CheckCount(uint32_t n, ByteSpan wire) {
-  if (n > wire.size()) {
-    return ErrCorrupted("telemetry element count exceeds body size");
-  }
-  return Status::Ok();
-}
-
-}  // namespace
 
 Buffer GetStatsResponse::Encode() const {
   WireWriter w;
@@ -687,6 +689,7 @@ Result<CompoundRequest> CompoundRequest::Decode(ByteSpan wire) {
   WireReader r(wire);
   CompoundRequest out;
   ASSIGN_OR_RETURN(uint32_t n, r.U32());
+  RETURN_IF_ERROR(CheckCount(n, wire));
   out.ops.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     SubOp sub;
@@ -712,6 +715,7 @@ Result<CompoundResponse> CompoundResponse::Decode(ByteSpan wire) {
   WireReader r(wire);
   CompoundResponse out;
   ASSIGN_OR_RETURN(uint32_t n, r.U32());
+  RETURN_IF_ERROR(CheckCount(n, wire));
   out.results.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     SubResult sub;

@@ -61,7 +61,9 @@ Result<sp<Object>> FusedSfs::ObjectFor(const Name& name) {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = open_files_.find(path);
     if (it != open_files_.end()) {
-      return sp<Object>(it->second);
+      if (sp<File> file = it->second.lock()) {
+        return sp<Object>(file);
+      }
     }
   }
   ASSIGN_OR_RETURN(MonoFd fd, fs_->Open(path));
@@ -72,8 +74,12 @@ Result<sp<Object>> FusedSfs::ObjectFor(const Name& name) {
   }
   sp<File> file = std::make_shared<FusedFile>(domain(), self, fd);
   std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] = open_files_.emplace(path, file);
-  return sp<Object>(it->second);
+  std::weak_ptr<File>& entry = open_files_[path];
+  if (sp<File> raced = entry.lock()) {
+    return sp<Object>(raced);
+  }
+  entry = file;
+  return sp<Object>(file);
 }
 
 Result<sp<Object>> FusedSfs::Resolve(const Name& name,

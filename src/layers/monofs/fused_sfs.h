@@ -61,7 +61,9 @@ class FusedSfs : public StackableFs, public Servant {
 
   std::unique_ptr<MonoFs> fs_;
   std::mutex mutex_;
-  std::map<std::string, sp<File>> open_files_;
+  // Weak: every FusedFile holds the FusedSfs, so a strong table would keep
+  // an SFS that ever opened a file alive forever.
+  std::map<std::string, std::weak_ptr<File>> open_files_;
 };
 
 }  // namespace springfs

@@ -541,8 +541,15 @@ Status Vmm::CacheZeroFill(uint64_t channel_id, Range range) {
   Offset end = range.end();
   for (auto it = ch->pages.lower_bound(PageFloor(range.offset));
        it != ch->pages.end() && it->first < end; ++it) {
-    std::memset(it->second.data.data(), 0, it->second.data.size());
-    it->second.dirty = false;
+    // Only the range is zero: a page it covers in part keeps its other
+    // bytes (a truncate's EOF page) and its dirty bit.
+    Buffer& data = it->second.data;
+    Offset from = std::max(range.offset, it->first);
+    Offset to = std::min<Offset>(end, it->first + data.size());
+    std::memset(data.data() + (from - it->first), 0, to - from);
+    if (to - from == data.size()) {
+      it->second.dirty = false;
+    }
   }
   return Status::Ok();
 }

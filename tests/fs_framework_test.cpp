@@ -10,9 +10,11 @@
 #include "src/layers/compfs/comp_layer.h"
 #include "src/layers/cryptfs/crypt_layer.h"
 #include "src/layers/mirrorfs/mirror_layer.h"
+#include "src/layers/passfs/pass_layer.h"
 #include "src/layers/sfs/sfs.h"
 #include "src/layers/xattrfs/xattr_layer.h"
 #include "src/vmm/vmm.h"
+#include "tests/cached_file_conformance.h"
 #include "tests/subdir_conformance.h"
 
 namespace springfs {
@@ -288,6 +290,7 @@ enum class LocalStack {
   kSfsOneDomain,
   kSfsTwoDomains,
   kCryptfs,
+  kPassfs,
   kCompfsFig5,
   kCompfsFig6,
   kXattrfs,
@@ -304,6 +307,8 @@ std::string LocalStackName(const ::testing::TestParamInfo<LocalStack>& info) {
       return "SfsTwoDomains";
     case LocalStack::kCryptfs:
       return "Cryptfs";
+    case LocalStack::kPassfs:
+      return "Passfs";
     case LocalStack::kCompfsFig5:
       return "CompfsFig5";
     case LocalStack::kCompfsFig6:
@@ -401,6 +406,83 @@ INSTANTIATE_TEST_SUITE_P(
                       LocalStack::kSfsTwoDomains, LocalStack::kCryptfs,
                       LocalStack::kCompfsFig5, LocalStack::kCompfsFig6,
                       LocalStack::kXattrfs, LocalStack::kMirrorfs),
+    LocalStackName);
+
+// --- Cached-file conformance over the caching stacks ---
+
+class CachedFileConformanceTest : public ::testing::TestWithParam<LocalStack> {
+ protected:
+  void SetUp() override { root_ = Build(/*format=*/true); }
+
+  // The stack under test over device_: formatted, or mounted afresh over
+  // what an earlier stack synced.
+  sp<StackableFs> Build(bool format) {
+    LocalStack kind = GetParam();
+    SfsOptions options;
+    options.format = format;
+    if (kind == LocalStack::kSfsTwoDomains) {
+      options.placement = SfsPlacement::kTwoDomains;
+    }
+    Result<Sfs> sfs = CreateSfs(&device_, options, &clock_);
+    EXPECT_TRUE(sfs.ok()) << sfs.status().ToString();
+    if (!sfs.ok()) {
+      return nullptr;
+    }
+    sp<StackableFs> top;
+    switch (kind) {
+      case LocalStack::kCryptfs:
+        top = CryptLayer::Create(Domain::Create("cryptfs"), "key", {},
+                                 &clock_);
+        break;
+      case LocalStack::kPassfs:
+        top = PassLayer::Create(Domain::Create("passfs"), {}, 0, &clock_);
+        break;
+      case LocalStack::kCompfsFig5:
+      case LocalStack::kCompfsFig6: {
+        CompLayerOptions comp;
+        comp.coherent_lower = kind == LocalStack::kCompfsFig6;
+        top = CompLayer::Create(Domain::Create("compfs"), comp, &clock_);
+        break;
+      }
+      default:
+        return sfs->root;
+    }
+    EXPECT_TRUE(top->StackOn(sfs->root).ok());
+    return top;
+  }
+
+  FakeClock clock_;
+  MemBlockDevice device_{ufs::kBlockSize, 4096};
+  sp<StackableFs> root_;
+};
+
+TEST_P(CachedFileConformanceTest, UpperLayerSeesDirectAttrChanges) {
+  cached_file_conformance::ExpectUpperSeesDirectAttrChanges(root_);
+}
+
+TEST_P(CachedFileConformanceTest, TruncateZeroesMappedTail) {
+  cached_file_conformance::ExpectTruncateZeroesMappedTail(root_);
+}
+
+TEST_P(CachedFileConformanceTest, DirtyMappedPageSurvivesSyncAndFreshStack) {
+  cached_file_conformance::ExpectDirtyMappedPageSurvivesSync(
+      root_, [this] { return Build(/*format=*/false); });
+}
+
+TEST_P(CachedFileConformanceTest, AttrsSetWithoutIoSurviveSyncAndFreshStack) {
+  cached_file_conformance::ExpectAttrsSetWithoutIoSurviveSync(
+      root_, [this] { return Build(/*format=*/false); });
+}
+
+TEST_P(CachedFileConformanceTest, DirectReadRecallsMappedWrites) {
+  cached_file_conformance::ExpectDirectReadRecallsMappedWrites(root_);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CachingStacks, CachedFileConformanceTest,
+    ::testing::Values(LocalStack::kSfsOneDomain, LocalStack::kSfsTwoDomains,
+                      LocalStack::kCryptfs, LocalStack::kPassfs,
+                      LocalStack::kCompfsFig5, LocalStack::kCompfsFig6),
     LocalStackName);
 
 }  // namespace

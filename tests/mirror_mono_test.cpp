@@ -308,5 +308,31 @@ TEST(FusedSfsTest, DirectoryResolvesToAContext) {
   EXPECT_EQ(narrow<File>(*dir), nullptr);
 }
 
+// The open-file table does not own its files: once the last outside
+// reference to the SFS and to everything it handed out is dropped, the SFS
+// is freed, after a file and a sub-directory context were opened.
+TEST(FusedSfsTest, FreedOnceTheLastOutsideReferenceIsDropped) {
+  FakeClock clock;
+  MemBlockDevice device(ufs::kBlockSize, 4096);
+  std::weak_ptr<FusedSfs> weak;
+  {
+    sp<FusedSfs> fs =
+        *FusedSfs::Format(Domain::Create("fused"), &device, &clock);
+    weak = fs;
+    Credentials sys = Credentials::System();
+    ASSERT_TRUE(fs->CreateContext(*Name::Parse("d"), sys).ok());
+    Result<sp<File>> file = fs->CreateFile(*Name::Parse("d/f"), sys);
+    ASSERT_TRUE(file.ok());
+    Buffer data(std::string("bytes"));
+    ASSERT_TRUE((*file)->Write(0, data.span()).ok());
+    Result<sp<Context>> dir = ResolveAs<Context>(fs, "d", sys);
+    ASSERT_TRUE(dir.ok());
+    Result<sp<File>> again = ResolveAs<File>(*dir, "f", sys);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(again->get(), file->get());
+  }
+  EXPECT_TRUE(weak.expired());
+}
+
 }  // namespace
 }  // namespace springfs

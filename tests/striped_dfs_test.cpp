@@ -221,6 +221,44 @@ TEST(StripedWire, StripeMapRoundTrip) {
   EXPECT_FALSE(StripeMapResponse::Decode(junk.span()).ok());
 }
 
+// A count read from the frame is checked against the body before anything
+// is reserved: 0x10000000 elements over a short body is corrupt, not a
+// std::bad_alloc out of a Result function.
+TEST(StripedWire, HugeElementCountsAreCorrupt) {
+  constexpr uint32_t kHuge = 0x10000000;
+  auto map_prefix = [](dfs::WireWriter& w) {
+    w.U64(4 * kPageSize);  // stripe_size
+    w.U64(0);              // length
+    w.U64(1);              // map_version
+    w.U32(1);              // replicas
+    w.Str("stripe-00deadbeef00cafe");
+  };
+  dfs::WireWriter targets;
+  map_prefix(targets);
+  targets.U32(kHuge);
+  dfs::WireWriter lanes;
+  map_prefix(lanes);
+  lanes.U32(1);
+  lanes.Str("data0");
+  lanes.Str("dfs-data");
+  lanes.U32(0);  // not stale
+  lanes.U32(kHuge);
+  dfs::WireWriter count_only;
+  count_only.U32(kHuge);
+  Buffer short_body = count_only.Take();
+
+  EXPECT_EQ(StripeMapResponse::Decode(targets.Take().span()).code(),
+            ErrorCode::kCorrupted);
+  EXPECT_EQ(StripeMapResponse::Decode(lanes.Take().span()).code(),
+            ErrorCode::kCorrupted);
+  EXPECT_EQ(dfs::ReadDirResponse::Decode(short_body.span()).code(),
+            ErrorCode::kCorrupted);
+  EXPECT_EQ(dfs::CompoundRequest::Decode(short_body.span()).code(),
+            ErrorCode::kCorrupted);
+  EXPECT_EQ(dfs::CompoundResponse::Decode(short_body.span()).code(),
+            ErrorCode::kCorrupted);
+}
+
 TEST(StripedWire, RequestIdTableMintsFreshIdOnRetarget) {
   dfs::StripeRequestIdTable ids;
   bool retargeted = true;
@@ -841,6 +879,37 @@ TEST(StripedDfsReplicated, WidthThreeRotatedPlacement) {
   world.KillDataServer(2);
   Buffer back(data.size());
   ASSERT_EQ(*file->Read(0, back.mutable_span()), data.size());
+  EXPECT_EQ(std::memcmp(back.data(), data.data(), data.size()), 0);
+}
+
+// The client's map still marks data2 stale after a rebuild revived it. When
+// data0 then goes dark, the stripes replicated on {data2, data0} have no
+// eligible replica in that map: the read must refetch the map and use the
+// revived data2 rather than retry the old plan until it gives up.
+TEST(StripedDfsReplicated, ReadRefetchesMapWhenNoReplicaIsEligible) {
+  StripedWorld world(3, /*replicas=*/2);
+  sp<File> file = *world.client->CreateStriped("f");
+  Buffer data(6 * kPageSize);
+  Rng rng(53);
+  Buffer fill = rng.RandomBuffer(data.size());
+  std::memcpy(data.data(), fill.data(), data.size());
+  ASSERT_EQ(*file->Write(0, data.span()), data.size());
+
+  world.KillDataServer(2);
+  Buffer patch = PatternPage(0x3c);
+  ASSERT_EQ(*file->Write(2 * kPageSize, patch.span()), patch.size());
+  std::memcpy(data.data() + 2 * kPageSize, patch.data(), patch.size());
+  EXPECT_GE(metrics::StatValue(*world.mds, "stripe_replicas_marked_stale"),
+            1u);
+
+  world.ReviveDataServer(2);
+  ASSERT_GE(*world.mds->RunRebuildPass(), 1u);
+
+  world.KillDataServer(0);
+  Buffer back(data.size());
+  Result<size_t> n = file->Read(0, back.mutable_span());
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  ASSERT_EQ(*n, data.size());
   EXPECT_EQ(std::memcmp(back.data(), data.data(), data.size()), 0);
 }
 
