@@ -4,13 +4,21 @@
 // stacks on TWO of them.
 //
 //        fs3 (compfs)      fs4 (mirrorfs)
-//           |               /        \
+//           |               /        \  (two replicas)
 //          fs1 (sfs)     fs1 (sfs)  fs2 (sfs)
 //
 // The bench builds exactly that graph and reports per-layer operation
 // costs, the mirror's write fan-out, and read failover cost when fs1's
-// device dies.
+// device dies. The base file systems cache no data in their coherency
+// layers, so a read through fs4 reaches fs1's device and sees it die.
+//
+// Self-checks (the exit code): fs1, fs3 and fs4 each read back the page
+// they wrote; fs3 stores the compressible page in fewer bytes than it was
+// given; after SyncFs both replicas of fs4's `ha` hold the same bytes; and
+// with fs1's device broken, reads of `ha` through fs4 still return the
+// written bytes by failing over to fs2.
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -38,7 +46,9 @@ int main() {
     disks[i] = new FaultyBlockDevice(
         std::make_unique<MemBlockDevice>(ufs::kBlockSize, 16384));
     owners[i].reset(disks[i]);
-    fs[i] = CreateSfs(owners[i].get(), SfsOptions{}).take_value();
+    SfsOptions options;
+    options.coherency.cache_data = false;
+    fs[i] = CreateSfs(owners[i].get(), options).take_value();
   }
 
   // fs3 = COMPFS on fs1; fs4 = MIRRORFS on fs1 + fs2.
@@ -67,6 +77,20 @@ int main() {
       {"fs3 (compfs on fs1)", fs3},
       {"fs4 (mirror fs1+fs2)", fs4},
   };
+  bool ok = true;
+  auto check = [&](bool cond, const std::string& what) {
+    if (!cond) {
+      std::fprintf(stderr, "FAIL: %s\n", what.c_str());
+      ok = false;
+    }
+  };
+  // One 4KB read of `file` returns the page written.
+  auto reads_page = [&](const sp<File>& file) {
+    std::fill(out.data(), out.data() + out.size(), uint8_t{0});
+    Result<size_t> n = file->Read(0, out.mutable_span());
+    return n.ok() && *n == kPageSize && out == page;
+  };
+
   std::printf("%-24s %14s %14s\n", "layer", "4KB write", "4KB read");
   bench::PrintRule(72);
   for (auto& row : rows) {
@@ -80,21 +104,41 @@ int main() {
         TimeOp([&] { (void)*file->Read(0, out.mutable_span()); }, 2000);
     std::printf("%-24s %12.2fus %12.2fus\n", row.name, write.mean_us,
                 read.mean_us);
+    check(reads_page(file), std::string(row.name) + " reads back its page");
   }
   bench::PrintRule(72);
+
+  // fs3 compresses: one synced compressible page costs fewer stored bytes.
+  uint64_t stored_before = metrics::StatValue(*fs3, "bytes_stored");
+  sp<File> packed = fs3->CreateFile(*Name::Parse("packed"), creds).take_value();
+  packed->Write(0, page.span()).take_value();
+  SPRINGFS_CHECK_OK(packed->SyncFile());
+  uint64_t stored = metrics::StatValue(*fs3, "bytes_stored") - stored_before;
+  std::printf("fs3 stored a compressible 4KB page in %llu bytes\n",
+              static_cast<unsigned long long>(stored));
+  check(stored > 0 && stored < kPageSize,
+        "fs3 stores the compressible page in fewer bytes than given");
 
   // Mirror failover: fs1's device dies; reads fail over to fs2.
   sp<File> ha = fs4->CreateFile(*Name::Parse("ha"), creds).take_value();
   ha->Write(0, page.span()).take_value();
   SPRINGFS_CHECK_OK(fs4->SyncFs());
+  for (int i = 0; i < 2; ++i) {
+    sp<File> replica = ResolveAs<File>(fs[i].root, "ha", creds).take_value();
+    check(reads_page(replica),
+          "replica " + std::to_string(i) + " of ha holds the written page");
+  }
   Measurement healthy =
       TimeOp([&] { (void)*ha->Read(0, out.mutable_span()); }, 2000);
   disks[0]->set_broken(true);
   sp<File> ha2 = ResolveAs<File>(fs4, "ha", creds).take_value();
   Measurement degraded =
       TimeOp([&] { (void)*ha2->Read(0, out.mutable_span()); }, 2000);
+  check(reads_page(ha2), "ha reads back its page with fs1's device dead");
   disks[0]->set_broken(false);
   std::map<std::string, uint64_t> stats = metrics::CollectFrom(*fs4);
+  check(stats["reads_failover"] > 0,
+        "reads of ha fail over to fs2 with fs1's device dead");
   std::printf("mirror read, both replicas healthy : %9.2f us/op\n",
               healthy.mean_us);
   std::printf("mirror read, primary dead (failover): %8.2f us/op\n",
@@ -108,5 +152,5 @@ int main() {
   std::printf("shape: composition is free-form; the mirror doubles write "
               "work and survives a\ndead replica with a bounded failover "
               "penalty\n");
-  return 0;
+  return ok ? 0 : 1;
 }

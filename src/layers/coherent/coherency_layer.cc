@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/fs/prefix_context.h"
 #include "src/obs/trace.h"
 #include "src/support/logging.h"
 
@@ -36,7 +35,7 @@ class CoherencyLowerCacheObject : public FsCacheObject, public Servant {
           block.dirty = false;
         }
       }
-      return modified;
+      return layer_->EncodeForRecall(*state_, std::move(modified));
     });
   }
   Status DeleteRange(Range range) override {
@@ -133,7 +132,7 @@ sp<CoherencyLayer> CoherencyLayer::Create(sp<Domain> domain,
 
 CoherencyLayer::CoherencyLayer(sp<Domain> domain,
                                CoherencyLayerOptions options, Clock* clock)
-    : Servant(std::move(domain)), options_(options), clock_(clock) {
+    : StackedLayer(std::move(domain)), options_(options), clock_(clock) {
   metrics::Registry::Global().RegisterProvider(this);
 }
 
@@ -148,19 +147,6 @@ void CoherencyLayer::CollectStats(const metrics::StatsEmitter& emit) const {
   emit("attr_cache_misses", cache_stats_.attr_misses);
   emit("lower_page_ins", lower_page_ins_);
   emit("lower_page_outs", lower_page_outs_);
-}
-
-Status CoherencyLayer::StackOn(sp<StackableFs> underlying) {
-  return InDomain([&]() -> Status {
-    if (under_) {
-      return ErrAlreadyExists("coherency layer already stacked");
-    }
-    if (!underlying) {
-      return ErrInvalidArgument("null underlying file system");
-    }
-    under_ = std::move(underlying);
-    return Status::Ok();
-  });
 }
 
 sp<CoherencyLayer::FileState> CoherencyLayer::StateForFile(
@@ -179,39 +165,61 @@ sp<CoherencyLayer::FileState> CoherencyLayer::StateForFile(
   return state;
 }
 
-Result<sp<CachedFile<CoherencyLayer>>> CoherencyLayer::WrapFile(
-    const sp<File>& under) {
+Result<sp<File>> CoherencyLayer::WrapFile(const Name&,
+                                          const sp<File>& under) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = wrapped_files_.find(under.get());
     if (it != wrapped_files_.end()) {
-      return it->second;
+      return sp<File>(it->second);
     }
   }
   sp<FileState> state = StateForFile(under);
   auto wrapped = std::make_shared<CachedFile<CoherencyLayer>>(Self(), state);
   std::lock_guard<std::mutex> lock(mutex_);
   auto [it, inserted] = wrapped_files_.emplace(under.get(), wrapped);
-  return it->second;
+  return sp<File>(it->second);
 }
 
-Result<sp<Object>> CoherencyLayer::WrapResolved(const Name& name,
-                                                 sp<Object> object) {
-  if (sp<File> file = narrow<File>(object)) {
-    ASSIGN_OR_RETURN(sp<CachedFile<CoherencyLayer>> wrapped, WrapFile(file));
-    return sp<Object>(wrapped);
-  }
-  if (narrow<Context>(object)) {
-    return sp<Object>(MakePrefixContext(Self(), name));
-  }
-  return object;
-}
-
-sp<Object> CoherencyLayer::UnwrapForBind(sp<Object> object) {
+Result<sp<Object>> CoherencyLayer::UnwrapForBind(sp<Object> object) {
   if (auto wrapped = narrow<CachedFile<CoherencyLayer>>(object)) {
-    return wrapped->state()->under;
+    return sp<Object>(wrapped->state()->under);
   }
   return object;
+}
+
+void CoherencyLayer::Unbound(const Name&, const sp<Object>& below) {
+  // Without the purge a later SyncFs would push cached data into a deleted
+  // file.
+  sp<File> under_file = narrow<File>(below);
+  if (!under_file || under_file->Stat().ok()) {
+    return;
+  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  wrapped_files_.erase(under_file.get());
+  for (auto it = states_.begin(); it != states_.end();) {
+    if (it->second->under == under_file) {
+      client_channels_.RemoveFile(it->second->file_id);
+      it = states_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
+Status CoherencyLayer::SyncOwn() {
+  std::vector<sp<FileState>> states;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (auto& [id, state] : states_) {
+      states.push_back(state);
+    }
+  }
+  for (const sp<FileState>& state : states) {
+    std::lock_guard<std::mutex> lock(state->mutex);
+    RETURN_IF_ERROR(CachedFile<CoherencyLayer>::SyncState(*this, *state));
+  }
+  return Status::Ok();
 }
 
 Status CoherencyLayer::EnsureBoundBelow(const sp<FileState>& state) {
@@ -317,7 +325,7 @@ Result<std::vector<BlockData>> CoherencyLayer::LowerFlushBack(FileState& state,
       it = state.pages.erase(it);
     }
   }
-  return modified;
+  return EncodeForRecall(state, std::move(modified));
 }
 
 Result<std::vector<BlockData>> CoherencyLayer::LowerDenyWrites(
@@ -350,136 +358,22 @@ Result<std::vector<BlockData>> CoherencyLayer::LowerDenyWrites(
   } else {
     modified = std::move(recovered);
   }
-  return modified;
+  return EncodeForRecall(state, std::move(modified));
 }
 
-// --- Context / StackableFs / Fs -------------------------------------------
-
-Result<sp<Object>> CoherencyLayer::Resolve(const Name& name,
-                                           const Credentials& creds) {
-  return InDomain([&]() -> Result<sp<Object>> {
-    if (!under_) {
-      return ErrInvalidArgument("coherency layer not stacked");
+Result<std::vector<BlockData>> CoherencyLayer::EncodeForRecall(
+    const FileState& state, std::vector<BlockData> blocks) {
+  // The blocks are this layer's plaintext (its own cache, its clients'),
+  // and the layer below stores what it is handed.
+  for (BlockData& block : blocks) {
+    block.data.resize(kPageSize);
+    ASSIGN_OR_RETURN(block.data, EncodeForBelow(state.file_id, block.offset,
+                                                std::move(block.data)));
+    if (block.data.size() != kPageSize) {
+      return ErrCorrupted("encode changed page size");
     }
-    if (name.empty()) {
-      return sp<Object>(std::dynamic_pointer_cast<Object>(shared_from_this()));
-    }
-    ASSIGN_OR_RETURN(sp<Object> object, under_->Resolve(name, creds));
-    return WrapResolved(name, std::move(object));
-  });
-}
-
-Status CoherencyLayer::Bind(const Name& name, sp<Object> object,
-                            const Credentials& creds, bool replace) {
-  return InDomain([&]() -> Status {
-    if (!under_) {
-      return ErrInvalidArgument("coherency layer not stacked");
-    }
-    return under_->Bind(name, UnwrapForBind(std::move(object)), creds,
-                        replace);
-  });
-}
-
-Status CoherencyLayer::Unbind(const Name& name, const Credentials& creds) {
-  return InDomain([&]() -> Status {
-    if (!under_) {
-      return ErrInvalidArgument("coherency layer not stacked");
-    }
-    // Capture the underlying object first so this layer's per-file state
-    // can be dropped after a successful removal — otherwise a later SyncFs
-    // would push cached data into a deleted file.
-    Result<sp<Object>> target = under_->Resolve(name, creds);
-    RETURN_IF_ERROR(under_->Unbind(name, creds));
-    if (target.ok()) {
-      sp<File> under_file = narrow<File>(*target);
-      // Purge only when the last link is gone (stat fails): a renamed or
-      // hard-linked file keeps its cached state.
-      if (under_file && !under_file->Stat().ok()) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        wrapped_files_.erase(under_file.get());
-        for (auto it = states_.begin(); it != states_.end();) {
-          if (it->second->under == under_file) {
-            client_channels_.RemoveFile(it->second->file_id);
-            it = states_.erase(it);
-          } else {
-            ++it;
-          }
-        }
-      }
-    }
-    return Status::Ok();
-  });
-}
-
-Result<std::vector<BindingInfo>> CoherencyLayer::ListAt(
-    const Name& prefix, const Credentials& creds) {
-  return InDomain([&]() -> Result<std::vector<BindingInfo>> {
-    if (!under_) {
-      return ErrInvalidArgument("coherency layer not stacked");
-    }
-    return ListBelow(*under_, prefix, creds);
-  });
-}
-
-Result<std::vector<BindingInfo>> CoherencyLayer::List(
-    const Credentials& creds) {
-  return ListAt(Name(), creds);
-}
-
-Result<sp<Context>> CoherencyLayer::CreateContext(const Name& name,
-                                                  const Credentials& creds) {
-  return InDomain([&]() -> Result<sp<Context>> {
-    if (!under_) {
-      return ErrInvalidArgument("coherency layer not stacked");
-    }
-    RETURN_IF_ERROR(under_->CreateContext(name, creds).status());
-    return MakePrefixContext(Self(), name);
-  });
-}
-
-Result<sp<File>> CoherencyLayer::CreateFile(const Name& name,
-                                            const Credentials& creds) {
-  return InDomain([&]() -> Result<sp<File>> {
-    if (!under_) {
-      return ErrInvalidArgument("coherency layer not stacked");
-    }
-    ASSIGN_OR_RETURN(sp<File> under_file, under_->CreateFile(name, creds));
-    ASSIGN_OR_RETURN(sp<CachedFile<CoherencyLayer>> wrapped,
-                     WrapFile(under_file));
-    return sp<File>(wrapped);
-  });
-}
-
-Result<FsInfo> CoherencyLayer::GetFsInfo() {
-  return InDomain([&]() -> Result<FsInfo> {
-    if (!under_) {
-      return ErrInvalidArgument("coherency layer not stacked");
-    }
-    ASSIGN_OR_RETURN(FsInfo info, under_->GetFsInfo());
-    info.type = type_name() + "(" + info.type + ")";
-    info.stack_depth += 1;
-    return info;
-  });
-}
-
-Status CoherencyLayer::SyncFs() {
-  return InDomain([&]() -> Status {
-    if (!under_) {
-      return ErrInvalidArgument("coherency layer not stacked");
-    }
-    std::vector<sp<FileState>> states;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      for (auto& [id, state] : states_) {
-        states.push_back(state);
-      }
-    }
-    for (const sp<FileState>& state : states) {
-      std::lock_guard<std::mutex> lock(state->mutex);
-      RETURN_IF_ERROR(CachedFile<CoherencyLayer>::SyncState(*this, *state));
-    }
-    return under_->SyncFs();
-  });
+  }
+  return blocks;
 }
 
 void CoherencyLayer::ResetStats() {

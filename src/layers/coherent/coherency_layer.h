@@ -17,8 +17,9 @@
 //     third Table 2 observation).
 //
 // The client half (the exported file, the client pager entry points) is
-// the shared CachedFile<CoherencyLayer> (src/fs/cached_file.h); this layer
-// supplies its lower half: pages through the lower pager object,
+// the shared CachedFile<CoherencyLayer> (src/fs/cached_file.h), and its
+// naming and Fs ops are the shared StackedLayer's (src/fs/stacked_layer.h);
+// this layer supplies the lower half: pages through the lower pager object,
 // attributes through fs_pager.
 //
 // "Using the coherency layer, we can construct coherent file system stacks
@@ -37,6 +38,7 @@
 
 #include "src/fs/cached_file.h"
 #include "src/fs/channel_table.h"
+#include "src/fs/stacked_layer.h"
 #include "src/obj/domain.h"
 #include "src/obs/metrics.h"
 #include "src/support/clock.h"
@@ -52,9 +54,7 @@ struct CoherencyLayerOptions {
   uint32_t read_ahead_pages = 0;
 };
 
-class CoherencyLayer : public StackableFs,
-                       public Servant,
-                       public metrics::StatsProvider {
+class CoherencyLayer : public StackedLayer, public metrics::StatsProvider {
  public:
   static sp<CoherencyLayer> Create(sp<Domain> domain,
                                    CoherencyLayerOptions options = {},
@@ -62,28 +62,6 @@ class CoherencyLayer : public StackableFs,
   ~CoherencyLayer() override;
 
   const char* interface_name() const override { return "coherency_layer"; }
-
-  // --- Context ---
-  Result<sp<Object>> Resolve(const Name& name,
-                             const Credentials& creds) override;
-  Status Bind(const Name& name, sp<Object> object, const Credentials& creds,
-              bool replace = false) override;
-  Status Unbind(const Name& name, const Credentials& creds) override;
-  Result<std::vector<BindingInfo>> List(const Credentials& creds) override;
-  Result<sp<Context>> CreateContext(const Name& name,
-                                    const Credentials& creds) override;
-  // List of the directory at layer-relative `prefix` (PrefixContext::List).
-  Result<std::vector<BindingInfo>> ListAt(const Name& prefix,
-                                          const Credentials& creds);
-
-  // --- StackableFs ---
-  Status StackOn(sp<StackableFs> underlying) override;
-  Result<sp<File>> CreateFile(const Name& name,
-                              const Credentials& creds) override;
-
-  // --- Fs ---
-  Result<FsInfo> GetFsInfo() override;
-  Status SyncFs() override;
 
   // --- StatsProvider ---
   std::string stats_prefix() const override { return "layer/" + type_name(); }
@@ -122,7 +100,7 @@ class CoherencyLayer : public StackableFs,
     return page;
   }
   // Layer type name reported in FsInfo ("coherency", "cryptfs", ...).
-  virtual std::string type_name() const { return "coherency"; }
+  std::string type_name() const override { return "coherency"; }
 
  private:
   friend class CachedFile<CoherencyLayer>;
@@ -143,12 +121,20 @@ class CoherencyLayer : public StackableFs,
     return std::dynamic_pointer_cast<CoherencyLayer>(shared_from_this());
   }
 
-  // Wrapping machinery. WrapResolved wraps what `name` resolved to below:
-  // a file in a CachedFile, a directory in a PrefixContext.
-  Result<sp<Object>> WrapResolved(const Name& name, sp<Object> object);
-  Result<sp<CachedFile<CoherencyLayer>>> WrapFile(const sp<File>& under);
-  sp<Object> UnwrapForBind(sp<Object> object);
+  // --- StackedLayer hooks (src/fs/stacked_layer.h) ---
+  // One CachedFile per lower file object, whatever name reached it.
+  Result<sp<File>> WrapFile(const Name& name, const sp<File>& under) override;
+  Result<sp<Object>> UnwrapForBind(sp<Object> object) override;
+  // Purges the file's state once its last link is gone (its Stat fails):
+  // a renamed or hard-linked file keeps its cached state.
+  void Unbound(const Name& name, const sp<Object>& below) override;
+  // Stores every file's dirty pages and attributes below.
+  Status SyncOwn() override;
+
   sp<FileState> StateForFile(const sp<File>& under);
+  // Each block a recall hands the layer below, run through EncodeForBelow.
+  Result<std::vector<BlockData>> EncodeForRecall(const FileState& state,
+                                                 std::vector<BlockData> blocks);
 
   // --- CachedFile hooks (src/fs/cached_file.h) ---
   // Binds `state` to the underlying file unless already bound, before any
@@ -184,7 +170,6 @@ class CoherencyLayer : public StackableFs,
 
   CoherencyLayerOptions options_;
   Clock* clock_;
-  sp<StackableFs> under_;
 
   std::mutex mutex_;  // protects the maps below (never held across lower calls)
   std::map<Object*, sp<CachedFile<CoherencyLayer>>> wrapped_files_;

@@ -1,9 +1,7 @@
 #include "src/layers/compfs/comp_layer.h"
 
 #include <algorithm>
-#include <cstring>
 
-#include "src/fs/prefix_context.h"
 #include "src/support/logging.h"
 
 namespace springfs {
@@ -13,7 +11,6 @@ constexpr uint32_t kCompMagic = 0x434D5046;  // "CMPF"
 constexpr uint32_t kCompVersion = 1;
 constexpr size_t kMetaHeaderSize = 4 + 4 + 8 + 8 + 8 + 8 + 8 + 8;
 constexpr size_t kMetaEntrySize = 16;
-constexpr const char* kMetaSuffix = ".cmeta";
 
 void PutU32At(Buffer& buf, size_t offset, uint32_t v) {
   uint8_t tmp[4];
@@ -101,7 +98,7 @@ sp<CompLayer> CompLayer::Create(sp<Domain> domain, CompLayerOptions options,
 }
 
 CompLayer::CompLayer(sp<Domain> domain, CompLayerOptions options, Clock* clock)
-    : Servant(std::move(domain)), options_(std::move(options)),
+    : StackedLayer(std::move(domain)), options_(std::move(options)),
       codec_(CodecByName(options_.codec)), clock_(clock) {
   SPRINGFS_CHECK(codec_ != nullptr);
   metrics::Registry::Global().RegisterProvider(this);
@@ -111,41 +108,18 @@ CompLayer::~CompLayer() {
   metrics::Registry::Global().UnregisterProvider(this);
 }
 
-bool CompLayer::IsMetaName(const std::string& component) {
-  return component.size() > std::strlen(kMetaSuffix) &&
-         component.compare(component.size() - std::strlen(kMetaSuffix),
-                           std::strlen(kMetaSuffix), kMetaSuffix) == 0;
-}
-
-std::string CompLayer::MetaNameFor(const std::string& component) {
-  return component + kMetaSuffix;
-}
-
-Status CompLayer::StackOn(sp<StackableFs> underlying) {
-  return InDomain([&]() -> Status {
-    if (under_) {
-      return ErrAlreadyExists("compfs already stacked");
-    }
-    if (!underlying) {
-      return ErrInvalidArgument("null underlying file system");
-    }
-    under_ = std::move(underlying);
-    return Status::Ok();
-  });
-}
-
-Result<sp<CachedFile<CompLayer>>> CompLayer::WrapFile(
-    const Name& name, const sp<File>& under_data) {
+Result<sp<File>> CompLayer::WrapFile(const Name& name,
+                                     const sp<File>& under_data) {
   std::string key = name.ToString();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = wrapped_files_.find(key);
     if (it != wrapped_files_.end()) {
-      return it->second;
+      return sp<File>(it->second);
     }
   }
   // Locate (or create) the metadata shadow file.
-  Name meta_name = name.Parent().Join(Name::Single(MetaNameFor(name.back())));
+  Name meta_name = ShadowNameFor(name);
   sp<File> under_meta;
   Result<sp<Object>> meta_obj = under_->Resolve(meta_name,
                                                 Credentials::System());
@@ -170,169 +144,55 @@ Result<sp<CachedFile<CompLayer>>> CompLayer::WrapFile(
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = wrapped_files_.find(key);
   if (it != wrapped_files_.end()) {
-    return it->second;
+    return sp<File>(it->second);
   }
   state->file_id = next_file_id_++;
   state->pager_key = NewPagerKey();
   auto wrapped = std::make_shared<CachedFile<CompLayer>>(self, state);
   wrapped_files_.emplace(key, wrapped);
-  return wrapped;
+  return sp<File>(wrapped);
 }
 
-Result<sp<Object>> CompLayer::WrapResolved(const Name& name,
-                                           sp<Object> object) {
-  if (sp<File> file = narrow<File>(object)) {
-    ASSIGN_OR_RETURN(sp<CachedFile<CompLayer>> wrapped, WrapFile(name, file));
-    return sp<Object>(wrapped);
-  }
-  if (narrow<Context>(object)) {
-    return sp<Object>(MakePrefixContext(Self(), name));
+Result<sp<Object>> CompLayer::UnwrapForBind(sp<Object> object) {
+  if (narrow<CachedFile<CompLayer>>(object)) {
+    return ErrNotSupported("a compfs file's chunk table is kept per name");
   }
   return object;
 }
 
-Result<sp<Object>> CompLayer::Resolve(const Name& name,
-                                      const Credentials& creds) {
-  return InDomain([&]() -> Result<sp<Object>> {
-    if (!under_) {
-      return ErrInvalidArgument("compfs not stacked");
-    }
-    if (name.empty()) {
-      return sp<Object>(std::dynamic_pointer_cast<Object>(shared_from_this()));
-    }
-    if (IsMetaName(name.back())) {
-      return ErrNotFound("metadata shadow files are not exported");
-    }
-    ASSIGN_OR_RETURN(sp<Object> object, under_->Resolve(name, creds));
-    return WrapResolved(name, std::move(object));
-  });
+void CompLayer::Unbound(const Name& name, const sp<Object>&) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  wrapped_files_.erase(name.ToString());
 }
 
-Status CompLayer::Bind(const Name& name, sp<Object> object,
-                       const Credentials& creds, bool replace) {
-  return InDomain([&]() -> Status {
-    if (!under_) {
-      return ErrInvalidArgument("compfs not stacked");
+Status CompLayer::SyncOwn() {
+  std::vector<sp<CachedFile<CompLayer>>> files;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (auto& [name, file] : wrapped_files_) {
+      files.push_back(file);
     }
-    return under_->Bind(name, std::move(object), creds, replace);
-  });
-}
-
-Status CompLayer::Unbind(const Name& name, const Credentials& creds) {
-  return InDomain([&]() -> Status {
-    if (!under_) {
-      return ErrInvalidArgument("compfs not stacked");
+  }
+  for (const sp<CachedFile<CompLayer>>& file : files) {
+    const sp<FileState>& state = file->state();
+    std::lock_guard<std::mutex> lock(state->mutex);
+    RETURN_IF_ERROR(CachedFile<CompLayer>::SyncState(*this, *state));
+    if (!state->attrs_valid) {
+      continue;
     }
-    RETURN_IF_ERROR(under_->Unbind(name, creds));
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      wrapped_files_.erase(name.ToString());
+    // Auto-compaction: reclaim when the chunk store outgrew live data.
+    uint64_t live = 0;
+    for (const ChunkEntry& entry : state->table) {
+      live += entry.length;
     }
-    if (!name.empty()) {
-      Name meta = name.Parent().Join(Name::Single(MetaNameFor(name.back())));
-      Status st = under_->Unbind(meta, creds);
-      if (!st.ok() && st.code() != ErrorCode::kNotFound) {
-        return st;
-      }
+    if (live > 0 &&
+        static_cast<double>(state->next_free) >
+            options_.compact_waste_factor * static_cast<double>(live)) {
+      uint64_t reclaimed = 0;
+      RETURN_IF_ERROR(CompactLocked(*state, &reclaimed));
     }
-    return Status::Ok();
-  });
-}
-
-Result<std::vector<BindingInfo>> CompLayer::ListAt(const Name& prefix,
-                                                   const Credentials& creds) {
-  return InDomain([&]() -> Result<std::vector<BindingInfo>> {
-    if (!under_) {
-      return ErrInvalidArgument("compfs not stacked");
-    }
-    ASSIGN_OR_RETURN(std::vector<BindingInfo> all,
-                     ListBelow(*under_, prefix, creds));
-    std::vector<BindingInfo> visible;
-    for (auto& entry : all) {
-      if (!IsMetaName(entry.name)) {
-        visible.push_back(std::move(entry));
-      }
-    }
-    return visible;
-  });
-}
-
-Result<std::vector<BindingInfo>> CompLayer::List(const Credentials& creds) {
-  return ListAt(Name(), creds);
-}
-
-Result<sp<Context>> CompLayer::CreateContext(const Name& name,
-                                             const Credentials& creds) {
-  return InDomain([&]() -> Result<sp<Context>> {
-    if (!under_) {
-      return ErrInvalidArgument("compfs not stacked");
-    }
-    RETURN_IF_ERROR(under_->CreateContext(name, creds).status());
-    return MakePrefixContext(Self(), name);
-  });
-}
-
-Result<sp<File>> CompLayer::CreateFile(const Name& name,
-                                       const Credentials& creds) {
-  return InDomain([&]() -> Result<sp<File>> {
-    if (!under_) {
-      return ErrInvalidArgument("compfs not stacked");
-    }
-    if (name.empty() || IsMetaName(name.back())) {
-      return ErrInvalidArgument("invalid compfs file name");
-    }
-    ASSIGN_OR_RETURN(sp<File> under_data, under_->CreateFile(name, creds));
-    ASSIGN_OR_RETURN(sp<CachedFile<CompLayer>> wrapped,
-                     WrapFile(name, under_data));
-    return sp<File>(wrapped);
-  });
-}
-
-Result<FsInfo> CompLayer::GetFsInfo() {
-  return InDomain([&]() -> Result<FsInfo> {
-    if (!under_) {
-      return ErrInvalidArgument("compfs not stacked");
-    }
-    ASSIGN_OR_RETURN(FsInfo info, under_->GetFsInfo());
-    info.type = "compfs(" + info.type + ")";
-    info.stack_depth += 1;
-    return info;
-  });
-}
-
-Status CompLayer::SyncFs() {
-  return InDomain([&]() -> Status {
-    if (!under_) {
-      return ErrInvalidArgument("compfs not stacked");
-    }
-    std::vector<sp<CachedFile<CompLayer>>> files;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      for (auto& [name, file] : wrapped_files_) {
-        files.push_back(file);
-      }
-    }
-    for (const sp<CachedFile<CompLayer>>& file : files) {
-      const sp<FileState>& state = file->state();
-      std::lock_guard<std::mutex> lock(state->mutex);
-      RETURN_IF_ERROR(CachedFile<CompLayer>::SyncState(*this, *state));
-      if (!state->attrs_valid) {
-        continue;
-      }
-      // Auto-compaction: reclaim when the chunk store outgrew live data.
-      uint64_t live = 0;
-      for (const ChunkEntry& entry : state->table) {
-        live += entry.length;
-      }
-      if (live > 0 &&
-          static_cast<double>(state->next_free) >
-              options_.compact_waste_factor * static_cast<double>(live)) {
-        uint64_t reclaimed = 0;
-        RETURN_IF_ERROR(CompactLocked(*state, &reclaimed));
-      }
-    }
-    return under_->SyncFs();
-  });
+  }
+  return Status::Ok();
 }
 
 // --- binding below (Figure 6) ----------------------------------------------

@@ -10,9 +10,11 @@
 // exports the shared client half, CachedFile<CompLayer>
 // (src/fs/cached_file.h): decompressed pages and attributes cached per
 // file, the MRSW protocol across client caches, attribute invalidations to
-// the caches bound above. Only its lower half differs. Compression is not
-// size-preserving, so a page does not map 1:1 onto a page below: each
-// COMPFS file is backed by TWO underlying files (the paper: "There need not
+// the caches bound above; and the naming and Fs ops of the shared
+// StackedLayer (src/fs/stacked_layer.h). Only its lower half differs.
+// Compression is not size-preserving, so a page does not map 1:1 onto a
+// page below: each COMPFS file is backed by TWO underlying files (the
+// paper: "There need not
 // be a one-to-one correspondence between the files exported by a given
 // layer and its underlying layers"):
 //
@@ -47,6 +49,7 @@
 #include "src/codec/codec.h"
 #include "src/fs/cached_file.h"
 #include "src/fs/channel_table.h"
+#include "src/fs/stacked_layer.h"
 #include "src/obj/domain.h"
 #include "src/obs/metrics.h"
 #include "src/support/clock.h"
@@ -61,38 +64,13 @@ struct CompLayerOptions {
   double compact_waste_factor = 2.0;
 };
 
-class CompLayer : public StackableFs,
-                  public Servant,
-                  public metrics::StatsProvider {
+class CompLayer : public StackedLayer, public metrics::StatsProvider {
  public:
   static sp<CompLayer> Create(sp<Domain> domain, CompLayerOptions options = {},
                               Clock* clock = &DefaultClock());
   ~CompLayer() override;
 
   const char* interface_name() const override { return "comp_layer"; }
-
-  // --- Context ---
-  Result<sp<Object>> Resolve(const Name& name,
-                             const Credentials& creds) override;
-  Status Bind(const Name& name, sp<Object> object, const Credentials& creds,
-              bool replace = false) override;
-  Status Unbind(const Name& name, const Credentials& creds) override;
-  Result<std::vector<BindingInfo>> List(const Credentials& creds) override;
-  Result<sp<Context>> CreateContext(const Name& name,
-                                    const Credentials& creds) override;
-  // List of the directory at layer-relative `prefix`, .cmeta shadows hidden
-  // (PrefixContext::List).
-  Result<std::vector<BindingInfo>> ListAt(const Name& prefix,
-                                          const Credentials& creds);
-
-  // --- StackableFs ---
-  Status StackOn(sp<StackableFs> underlying) override;
-  Result<sp<File>> CreateFile(const Name& name,
-                              const Credentials& creds) override;
-
-  // --- Fs ---
-  Result<FsInfo> GetFsInfo() override;
-  Status SyncFs() override;
 
   // Rewrites a file's chunk store, dropping orphaned chunks. Returns bytes
   // reclaimed.
@@ -144,18 +122,23 @@ class CompLayer : public StackableFs,
     std::vector<ChunkEntry> table;  // indexed by logical block
   };
 
-  static bool IsMetaName(const std::string& component);
-  static std::string MetaNameFor(const std::string& component);
-
   sp<CompLayer> Self() {
     return std::dynamic_pointer_cast<CompLayer>(shared_from_this());
   }
 
-  // Wraps what `name` resolved to below: a file in a CachedFile, a
-  // directory in a PrefixContext.
-  Result<sp<Object>> WrapResolved(const Name& name, sp<Object> object);
-  Result<sp<CachedFile<CompLayer>>> WrapFile(const Name& name,
-                                             const sp<File>& under_data);
+  // --- StackedLayer hooks (src/fs/stacked_layer.h) ---
+  std::string type_name() const override { return "compfs"; }
+  // One CachedFile per name; finds or creates the name's .cmeta shadow.
+  Result<sp<File>> WrapFile(const Name& name,
+                            const sp<File>& under_data) override;
+  // The chunk table lives in the name's shadow, so a COMPFS file cannot be
+  // bound under a second name.
+  Result<sp<Object>> UnwrapForBind(sp<Object> object) override;
+  std::string_view shadow_suffix() const override { return ".cmeta"; }
+  void Unbound(const Name& name, const sp<Object>&) override;
+  // Stores every file's dirty state, compacting chunk stores that outgrew
+  // their live data.
+  Status SyncOwn() override;
 
   // --- CachedFile hooks (src/fs/cached_file.h) ---
   // Figure 6: binds the data file below when a client binds, unless
@@ -208,7 +191,6 @@ class CompLayer : public StackableFs,
   CompLayerOptions options_;
   const Codec* codec_;
   Clock* clock_;
-  sp<StackableFs> under_;
 
   std::mutex mutex_;
   // By full path.

@@ -393,10 +393,10 @@ net::Frame DfsServer::StatusFrame(const Status& st) {
 DfsServer::DfsServer(const sp<net::Node>& node, net::Network* network,
                      std::string service, sp<StackableFs> under, Clock* clock,
                      const DfsServerOptions& options)
-    : Servant(node->domain()), node_(node), network_(network),
-      service_(std::move(service)), clock_(clock), options_(options),
-      boot_epoch_(NextBootEpoch()), boot_time_(clock->Now()),
-      under_(std::move(under)), dedup_(options.dedup_window) {
+    : StackedLayer(node->domain(), std::move(under)), node_(node),
+      network_(network), service_(std::move(service)), clock_(clock),
+      options_(options), boot_epoch_(NextBootEpoch()),
+      boot_time_(clock->Now()), dedup_(options.dedup_window) {
   // Handles are unique across instances, not just within one: a restarted
   // server starts its handle space at a fresh boot-epoch prefix, so a
   // client's stale handle can never silently resolve to a *different* file
@@ -1336,81 +1336,17 @@ net::Frame DfsServer::HandleFileOp(Op op, const net::Frame& request,
 
 // --- local (Figure 7) surface ---
 
-Result<sp<Object>> DfsServer::Resolve(const Name& name,
-                                      const Credentials& creds) {
-  return InDomain([&]() -> Result<sp<Object>> {
-    if (!under_) {
-      return ErrInvalidArgument("dfs server not stacked");
-    }
-    if (name.empty()) {
-      return sp<Object>(std::dynamic_pointer_cast<Object>(shared_from_this()));
-    }
-    ASSIGN_OR_RETURN(sp<Object> object, under_->Resolve(name, creds));
-    if (sp<File> under_file = narrow<File>(object)) {
-      sp<DfsServer> self =
-          std::dynamic_pointer_cast<DfsServer>(shared_from_this());
-      return sp<Object>(std::make_shared<DfsLocalFile>(domain(), self,
-                                                       under_file));
-    }
-    return object;  // directories: the underlying context is fine locally
-  });
+Result<sp<File>> DfsServer::WrapFile(const Name&, const sp<File>& under) {
+  return sp<File>(std::make_shared<DfsLocalFile>(
+      domain(), std::dynamic_pointer_cast<DfsServer>(shared_from_this()),
+      under));
 }
 
-Status DfsServer::Bind(const Name& name, sp<Object> object,
-                       const Credentials& creds, bool replace) {
-  return InDomain([&]() -> Status {
-    if (sp<DfsLocalFile> wrapped = narrow<DfsLocalFile>(object)) {
-      object = wrapped->under();
-    }
-    return under_->Bind(name, std::move(object), creds, replace);
-  });
-}
-
-Status DfsServer::Unbind(const Name& name, const Credentials& creds) {
-  return InDomain([&] { return under_->Unbind(name, creds); });
-}
-
-Result<std::vector<BindingInfo>> DfsServer::List(const Credentials& creds) {
-  return InDomain([&] { return under_->List(creds); });
-}
-
-Result<sp<Context>> DfsServer::CreateContext(const Name& name,
-                                             const Credentials& creds) {
-  return InDomain([&] { return under_->CreateContext(name, creds); });
-}
-
-Status DfsServer::StackOn(sp<StackableFs> underlying) {
-  return InDomain([&]() -> Status {
-    if (under_) {
-      return ErrAlreadyExists("dfs server already stacked");
-    }
-    under_ = std::move(underlying);
-    return Status::Ok();
-  });
-}
-
-Result<sp<File>> DfsServer::CreateFile(const Name& name,
-                                       const Credentials& creds) {
-  return InDomain([&]() -> Result<sp<File>> {
-    ASSIGN_OR_RETURN(sp<File> under_file, under_->CreateFile(name, creds));
-    sp<DfsServer> self =
-        std::dynamic_pointer_cast<DfsServer>(shared_from_this());
-    return sp<File>(std::make_shared<DfsLocalFile>(domain(), self,
-                                                   under_file));
-  });
-}
-
-Result<FsInfo> DfsServer::GetFsInfo() {
-  return InDomain([&]() -> Result<FsInfo> {
-    ASSIGN_OR_RETURN(FsInfo info, under_->GetFsInfo());
-    info.type = "dfs(" + info.type + ")";
-    info.stack_depth += 1;
-    return info;
-  });
-}
-
-Status DfsServer::SyncFs() {
-  return InDomain([&] { return under_->SyncFs(); });
+Result<sp<Object>> DfsServer::UnwrapForBind(sp<Object> object) {
+  if (sp<DfsLocalFile> wrapped = narrow<DfsLocalFile>(object)) {
+    return sp<Object>(wrapped->under());
+  }
+  return object;
 }
 
 void DfsServer::CollectStats(const metrics::StatsEmitter& emit) const {

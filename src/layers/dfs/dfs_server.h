@@ -14,7 +14,10 @@
 //   * for *local* clients, "forwards bind operations from local cache
 //     managers on file_DFS to the bind operation on file_SFS", so "local
 //     accesses to file_DFS use the same cached memory as file_SFS" and
-//     "DFS is not involved in local page-in/page-out requests".
+//     "DFS is not involved in local page-in/page-out requests". The local
+//     view's naming and Fs ops are the shared StackedLayer's
+//     (src/fs/stacked_layer.h), so a local sub-directory is a
+//     PrefixContext whose files are DfsLocalFiles too.
 //
 // The server itself caches no file data: remote page-ins are satisfied
 // through its pager channel to the layer below.
@@ -29,6 +32,7 @@
 #include "src/fs/channel_table.h"
 #include "src/fs/file.h"
 #include "src/fs/lower_channel.h"
+#include "src/fs/stacked_layer.h"
 #include "src/layers/dfs/protocol.h"
 #include "src/layers/dfs/wire.h"
 #include "src/net/network.h"
@@ -71,9 +75,7 @@ struct DfsServerOptions {
   size_t slow_op_ring = 64;
 };
 
-class DfsServer : public StackableFs,
-                  public Servant,
-                  public metrics::StatsProvider {
+class DfsServer : public StackedLayer, public metrics::StatsProvider {
  public:
   // Creates the server on `node`, stacked on `under`, answering protocol
   // requests addressed to `service`. Each server instance gets a fresh
@@ -88,25 +90,6 @@ class DfsServer : public StackableFs,
   ~DfsServer() override;
 
   const char* interface_name() const override { return "dfs_server"; }
-
-  // --- Context (the local side, Figure 7) ---
-  Result<sp<Object>> Resolve(const Name& name,
-                             const Credentials& creds) override;
-  Status Bind(const Name& name, sp<Object> object, const Credentials& creds,
-              bool replace = false) override;
-  Status Unbind(const Name& name, const Credentials& creds) override;
-  Result<std::vector<BindingInfo>> List(const Credentials& creds) override;
-  Result<sp<Context>> CreateContext(const Name& name,
-                                    const Credentials& creds) override;
-
-  // --- StackableFs ---
-  Status StackOn(sp<StackableFs> underlying) override;
-  Result<sp<File>> CreateFile(const Name& name,
-                              const Credentials& creds) override;
-
-  // --- Fs ---
-  Result<FsInfo> GetFsInfo() override;
-  Status SyncFs() override;
 
   // --- StatsProvider ---
   std::string stats_prefix() const override { return "layer/dfs_server"; }
@@ -164,7 +147,6 @@ class DfsServer : public StackableFs,
   // keeps the HealthResponse defaults: the data role, no stripe geometry.
   virtual void FillRoleHealth(HealthResponse&) {}
 
-  const sp<StackableFs>& under() const { return under_; }
   // One sync protocol call from this server's node to a peer server.
   Result<net::Frame> CallPeer(const std::string& to_node,
                               const std::string& to_service,
@@ -172,6 +154,12 @@ class DfsServer : public StackableFs,
   Result<sp<ServerFile>> FileForHandle(uint64_t handle);
 
  private:
+  // --- the local view (Figure 7): StackedLayer hooks ---
+  std::string type_name() const override { return "dfs"; }
+  // A DfsLocalFile, which forwards binds to `under`.
+  Result<sp<File>> WrapFile(const Name& name, const sp<File>& under) override;
+  Result<sp<Object>> UnwrapForBind(sp<Object> object) override;
+
   friend class DfsLocalFile;
   friend class DfsLowerCacheObject;
   friend class RemoteCacheProxy;
@@ -328,7 +316,6 @@ class DfsServer : public StackableFs,
   DfsServerOptions options_;
   uint64_t boot_epoch_;
   uint64_t boot_time_ = 0;  // clock at construction, for the grace period
-  sp<StackableFs> under_;
 
   std::mutex mutex_;
   std::map<uint64_t, sp<ServerFile>> files_by_handle_;

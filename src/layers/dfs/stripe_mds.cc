@@ -108,9 +108,9 @@ Status StripeMds::WriteSidecar(const std::string& path,
                                const StripeState& state) {
   ASSIGN_OR_RETURN(Name name, Name::Parse(StripeSidecar::NameFor(path)));
   Result<sp<File>> sidecar =
-      ResolveAs<File>(under(), name.ToString(), Credentials::System());
+      ResolveAs<File>(under_, name.ToString(), Credentials::System());
   if (!sidecar.ok()) {
-    sidecar = under()->CreateFile(name, Credentials::System());
+    sidecar = under_->CreateFile(name, Credentials::System());
   }
   RETURN_IF_ERROR(sidecar.status());
   Buffer wire = StripeSidecar{path, state}.Encode();
@@ -123,7 +123,7 @@ Status StripeMds::WriteSidecar(const std::string& path,
 
 Result<StripeSidecar> StripeMds::ReadSidecar(const std::string& name) {
   ASSIGN_OR_RETURN(sp<File> sidecar,
-                   ResolveAs<File>(under(), name, Credentials::System()));
+                   ResolveAs<File>(under_, name, Credentials::System()));
   ASSIGN_OR_RETURN(Offset length, sidecar->GetLength());
   Buffer raw;
   raw.resize(length);
@@ -133,7 +133,7 @@ Result<StripeSidecar> StripeMds::ReadSidecar(const std::string& name) {
 
 void StripeMds::LoadAllSidecarStates() {
   Result<std::vector<BindingInfo>> entries =
-      under()->List(Credentials::System());
+      under_->List(Credentials::System());
   if (!entries.ok()) {
     return;
   }

@@ -1,15 +1,12 @@
 #include "src/layers/xattrfs/xattr_layer.h"
 
 #include <algorithm>
-#include <cstring>
 
-#include "src/fs/prefix_context.h"
 #include "src/support/logging.h"
 
 namespace springfs {
 namespace {
 
-constexpr const char* kShadowSuffix = ".xattr";
 constexpr uint32_t kShadowMagic = 0x58415452;  // "XATR"
 
 void PutU32At(Buffer& buf, size_t offset, uint32_t v) {
@@ -122,23 +119,12 @@ sp<XattrLayer> XattrLayer::Create(sp<Domain> domain, Clock* clock) {
 }
 
 XattrLayer::XattrLayer(sp<Domain> domain, Clock* clock)
-    : Servant(std::move(domain)), clock_(clock) {
+    : StackedLayer(std::move(domain)), clock_(clock) {
   metrics::Registry::Global().RegisterProvider(this);
 }
 
 XattrLayer::~XattrLayer() {
   metrics::Registry::Global().UnregisterProvider(this);
-}
-
-bool XattrLayer::IsShadowName(const std::string& component) {
-  size_t suffix_len = std::strlen(kShadowSuffix);
-  return component.size() > suffix_len &&
-         component.compare(component.size() - suffix_len, suffix_len,
-                           kShadowSuffix) == 0;
-}
-
-Name XattrLayer::ShadowNameFor(const Name& name) {
-  return name.Parent().Join(Name::Single(name.back() + kShadowSuffix));
 }
 
 void XattrLayer::NoteGet() {
@@ -148,19 +134,6 @@ void XattrLayer::NoteGet() {
 void XattrLayer::NoteSet() {
   std::lock_guard<std::mutex> lock(stats_mutex_);
   ++stats_.sets;
-}
-
-Status XattrLayer::StackOn(sp<StackableFs> underlying) {
-  return InDomain([&]() -> Status {
-    if (under_) {
-      return ErrAlreadyExists("xattrfs already stacked");
-    }
-    if (!underlying) {
-      return ErrInvalidArgument("null underlying file system");
-    }
-    under_ = std::move(underlying);
-    return Status::Ok();
-  });
 }
 
 Result<sp<File>> XattrLayer::WrapFile(const Name& name,
@@ -179,16 +152,16 @@ Result<sp<File>> XattrLayer::WrapFile(const Name& name,
   return wrapped;
 }
 
-Result<sp<Object>> XattrLayer::WrapResolved(const Name& name,
-                                            sp<Object> object) {
-  if (sp<File> file = narrow<File>(object)) {
-    ASSIGN_OR_RETURN(sp<File> wrapped, WrapFile(name, file));
-    return sp<Object>(wrapped);
-  }
-  if (narrow<Context>(object)) {
-    return sp<Object>(MakePrefixContext(Self(), name));
+Result<sp<Object>> XattrLayer::UnwrapForBind(sp<Object> object) {
+  if (sp<XattrFileImpl> wrapped = narrow<XattrFileImpl>(object)) {
+    return sp<Object>(wrapped->under());
   }
   return object;
+}
+
+void XattrLayer::Unbound(const Name& name, const sp<Object>&) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  wrapped_files_.erase(name.ToString());
 }
 
 // Shadow format: magic u32, count u32, then per entry:
@@ -294,124 +267,6 @@ Status XattrLayer::StoreShadow(FileState& state) {
     return ErrIoError("short xattr shadow write");
   }
   return shadow->SetLength(raw.size());
-}
-
-Result<sp<Object>> XattrLayer::Resolve(const Name& name,
-                                       const Credentials& creds) {
-  return InDomain([&]() -> Result<sp<Object>> {
-    if (!under_) {
-      return ErrInvalidArgument("xattrfs not stacked");
-    }
-    if (name.empty()) {
-      return sp<Object>(std::dynamic_pointer_cast<Object>(shared_from_this()));
-    }
-    if (IsShadowName(name.back())) {
-      return ErrNotFound("attribute shadow files are not exported");
-    }
-    ASSIGN_OR_RETURN(sp<Object> object, under_->Resolve(name, creds));
-    return WrapResolved(name, std::move(object));
-  });
-}
-
-Status XattrLayer::Bind(const Name& name, sp<Object> object,
-                        const Credentials& creds, bool replace) {
-  return InDomain([&]() -> Status {
-    if (!under_) {
-      return ErrInvalidArgument("xattrfs not stacked");
-    }
-    if (sp<XattrFileImpl> wrapped = narrow<XattrFileImpl>(object)) {
-      object = wrapped->under();
-    }
-    return under_->Bind(name, std::move(object), creds, replace);
-  });
-}
-
-Status XattrLayer::Unbind(const Name& name, const Credentials& creds) {
-  return InDomain([&]() -> Status {
-    if (!under_) {
-      return ErrInvalidArgument("xattrfs not stacked");
-    }
-    RETURN_IF_ERROR(under_->Unbind(name, creds));
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      wrapped_files_.erase(name.ToString());
-    }
-    if (!name.empty()) {
-      Status st = under_->Unbind(ShadowNameFor(name), creds);
-      if (!st.ok() && st.code() != ErrorCode::kNotFound) {
-        return st;
-      }
-    }
-    return Status::Ok();
-  });
-}
-
-Result<std::vector<BindingInfo>> XattrLayer::ListAt(const Name& prefix,
-                                                    const Credentials& creds) {
-  return InDomain([&]() -> Result<std::vector<BindingInfo>> {
-    if (!under_) {
-      return ErrInvalidArgument("xattrfs not stacked");
-    }
-    ASSIGN_OR_RETURN(std::vector<BindingInfo> all,
-                     ListBelow(*under_, prefix, creds));
-    std::vector<BindingInfo> visible;
-    for (auto& entry : all) {
-      if (!IsShadowName(entry.name)) {
-        visible.push_back(std::move(entry));
-      }
-    }
-    return visible;
-  });
-}
-
-Result<std::vector<BindingInfo>> XattrLayer::List(const Credentials& creds) {
-  return ListAt(Name(), creds);
-}
-
-Result<sp<Context>> XattrLayer::CreateContext(const Name& name,
-                                              const Credentials& creds) {
-  return InDomain([&]() -> Result<sp<Context>> {
-    if (!under_) {
-      return ErrInvalidArgument("xattrfs not stacked");
-    }
-    RETURN_IF_ERROR(under_->CreateContext(name, creds).status());
-    return MakePrefixContext(Self(), name);
-  });
-}
-
-Result<sp<File>> XattrLayer::CreateFile(const Name& name,
-                                        const Credentials& creds) {
-  return InDomain([&]() -> Result<sp<File>> {
-    if (!under_) {
-      return ErrInvalidArgument("xattrfs not stacked");
-    }
-    if (name.empty() || IsShadowName(name.back())) {
-      return ErrInvalidArgument("invalid xattrfs file name");
-    }
-    ASSIGN_OR_RETURN(sp<File> under_file, under_->CreateFile(name, creds));
-    return WrapFile(name, under_file);
-  });
-}
-
-Result<FsInfo> XattrLayer::GetFsInfo() {
-  return InDomain([&]() -> Result<FsInfo> {
-    if (!under_) {
-      return ErrInvalidArgument("xattrfs not stacked");
-    }
-    ASSIGN_OR_RETURN(FsInfo info, under_->GetFsInfo());
-    info.type = "xattrfs(" + info.type + ")";
-    info.stack_depth += 1;
-    return info;
-  });
-}
-
-Status XattrLayer::SyncFs() {
-  return InDomain([&]() -> Status {
-    if (!under_) {
-      return ErrInvalidArgument("xattrfs not stacked");
-    }
-    return under_->SyncFs();
-  });
 }
 
 void XattrLayer::CollectStats(const metrics::StatsEmitter& emit) const {

@@ -14,46 +14,20 @@
 
 #include <map>
 
+#include "src/fs/stacked_layer.h"
 #include "src/fs/xattr.h"
-#include "src/naming/context.h"
-#include "src/obj/domain.h"
 #include "src/obs/metrics.h"
 #include "src/support/clock.h"
 
 namespace springfs {
 
-class XattrLayer : public StackableFs,
-                   public Servant,
-                   public metrics::StatsProvider {
+class XattrLayer : public StackedLayer, public metrics::StatsProvider {
  public:
   static sp<XattrLayer> Create(sp<Domain> domain,
                                Clock* clock = &DefaultClock());
   ~XattrLayer() override;
 
   const char* interface_name() const override { return "xattr_layer"; }
-
-  // --- Context ---
-  Result<sp<Object>> Resolve(const Name& name,
-                             const Credentials& creds) override;
-  Status Bind(const Name& name, sp<Object> object, const Credentials& creds,
-              bool replace = false) override;
-  Status Unbind(const Name& name, const Credentials& creds) override;
-  Result<std::vector<BindingInfo>> List(const Credentials& creds) override;
-  Result<sp<Context>> CreateContext(const Name& name,
-                                    const Credentials& creds) override;
-  // List of the directory at layer-relative `prefix`, .xattr shadows hidden
-  // (PrefixContext::List).
-  Result<std::vector<BindingInfo>> ListAt(const Name& prefix,
-                                          const Credentials& creds);
-
-  // --- StackableFs ---
-  Status StackOn(sp<StackableFs> underlying) override;
-  Result<sp<File>> CreateFile(const Name& name,
-                              const Credentials& creds) override;
-
-  // --- Fs ---
-  Result<FsInfo> GetFsInfo() override;
-  Status SyncFs() override;
 
   // --- StatsProvider ---
   std::string stats_prefix() const override { return "layer/xattrfs"; }
@@ -84,24 +58,23 @@ class XattrLayer : public StackableFs,
     std::mutex mutex;
   };
 
-  static bool IsShadowName(const std::string& component);
-  static Name ShadowNameFor(const Name& name);
-
   sp<XattrLayer> Self() {
     return std::dynamic_pointer_cast<XattrLayer>(shared_from_this());
   }
 
-  // Wraps what `name` resolved to below: a file in an XattrFile, a
-  // directory in a PrefixContext.
-  Result<sp<Object>> WrapResolved(const Name& name, sp<Object> object);
-  Result<sp<File>> WrapFile(const Name& name, const sp<File>& under);
+  // --- StackedLayer hooks (src/fs/stacked_layer.h) ---
+  std::string type_name() const override { return "xattrfs"; }
+  // One XattrFile per name.
+  Result<sp<File>> WrapFile(const Name& name, const sp<File>& under) override;
+  Result<sp<Object>> UnwrapForBind(sp<Object> object) override;
+  std::string_view shadow_suffix() const override { return ".xattr"; }
+  void Unbound(const Name& name, const sp<Object>&) override;
 
   // Shadow (de)serialization; state.mutex held.
   Status LoadShadow(FileState& state);
   Status StoreShadow(FileState& state);
 
   Clock* clock_;
-  sp<StackableFs> under_;
   std::mutex mutex_;
   std::map<std::string, sp<File>> wrapped_files_;  // by full path
   mutable std::mutex stats_mutex_;

@@ -128,6 +128,40 @@ TEST_F(CryptfsTest, LargeRandomRoundTrip) {
   EXPECT_EQ(Fnv1a64(out.span()), Fnv1a64(data.span()));
 }
 
+// A layer below that recalls CRYPTFS's dirty pages (SFS's sync, SFS's own
+// read) is handed ciphertext, never the plaintext CRYPTFS caches.
+TEST_F(CryptfsTest, RecalledPagesReachBelowEncrypted) {
+  sp<File> file = *stack_.cryptfs->CreateFile(*Name::Parse("secret"), sys_);
+  sp<File> under = *ResolveAs<File>(stack_.sfs.root, "secret", sys_);
+  auto read_below = [&] {
+    Buffer raw(14);
+    EXPECT_EQ(*under->Read(0, raw.mutable_span()), 14u);
+    return raw.ToString();
+  };
+
+  // SFS's sync recalls the page CRYPTFS has not synced.
+  Buffer dawn(std::string("attack at dawn"));
+  ASSERT_TRUE(file->Write(0, dawn.span()).ok());
+  ASSERT_TRUE(stack_.sfs.root->SyncFs().ok());
+  ASSERT_TRUE(stack_.cryptfs->SyncFs().ok());
+  EXPECT_NE(read_below(), "attack at dawn");
+
+  // A direct SFS read recalls it too.
+  Buffer dusk(std::string("attack at dusk"));
+  ASSERT_TRUE(file->Write(0, dusk.span()).ok());
+  EXPECT_NE(read_below(), "attack at dusk");
+
+  ASSERT_TRUE(stack_.cryptfs->SyncFs().ok());
+  ASSERT_TRUE(stack_.sfs.root->SyncFs().ok());
+  sp<CryptLayer> fresh = CryptLayer::Create(Domain::Create("crypt-recall"),
+                                            "hunter2", {}, &clock_);
+  ASSERT_TRUE(fresh->StackOn(stack_.sfs.root).ok());
+  sp<File> again = *ResolveAs<File>(fresh, "secret", sys_);
+  Buffer out(14);
+  ASSERT_EQ(*again->Read(0, out.mutable_span()), 14u);
+  EXPECT_EQ(out.ToString(), "attack at dusk");
+}
+
 TEST_F(CryptfsTest, FsInfoNamesTheLayer) {
   Result<FsInfo> info = stack_.cryptfs->GetFsInfo();
   ASSERT_TRUE(info.ok());

@@ -9,6 +9,7 @@
 #include "src/fs/mem_file.h"
 #include "src/layers/compfs/comp_layer.h"
 #include "src/layers/cryptfs/crypt_layer.h"
+#include "src/layers/dfs/dfs_server.h"
 #include "src/layers/mirrorfs/mirror_layer.h"
 #include "src/layers/passfs/pass_layer.h"
 #include "src/layers/sfs/sfs.h"
@@ -283,6 +284,42 @@ TEST_F(MemFileTest, SetTimes) {
   EXPECT_EQ(attrs->mtime_ns, 88u);
 }
 
+// --- The guards of every layer over one lower file system ---
+
+TEST(StackedLayerTest, EveryOpWaitsForOneStackOn) {
+  FakeClock clock;
+  MemBlockDevice device(ufs::kBlockSize, 4096);
+  Sfs sfs = *CreateSfs(&device, SfsOptions{}, &clock);
+  net::Network network(&clock, 1000);
+  std::vector<sp<StackableFs>> layers = {
+      CoherencyLayer::Create(Domain::Create("coherency"), {}, &clock),
+      CompLayer::Create(Domain::Create("compfs"), {}, &clock),
+      XattrLayer::Create(Domain::Create("xattrfs"), &clock),
+      *dfs::DfsServer::Create(network.AddNode("server"), &network, "dfs",
+                              nullptr, &clock)};
+  Credentials sys = Credentials::System();
+  Name f = *Name::Parse("f");
+  for (const sp<StackableFs>& layer : layers) {
+    SCOPED_TRACE(layer->interface_name());
+    constexpr ErrorCode kUnstacked = ErrorCode::kInvalidArgument;
+    EXPECT_EQ(layer->Resolve(Name(), sys).code(), kUnstacked);
+    EXPECT_EQ(layer->Resolve(f, sys).code(), kUnstacked);
+    EXPECT_EQ(layer->Bind(f, layer, sys).code(), kUnstacked);
+    EXPECT_EQ(layer->Unbind(f, sys).code(), kUnstacked);
+    EXPECT_EQ(layer->List(sys).code(), kUnstacked);
+    EXPECT_EQ(layer->CreateContext(f, sys).code(), kUnstacked);
+    EXPECT_EQ(layer->CreateFile(f, sys).code(), kUnstacked);
+    EXPECT_EQ(layer->GetFsInfo().code(), kUnstacked);
+    EXPECT_EQ(layer->SyncFs().code(), kUnstacked);
+
+    EXPECT_EQ(layer->StackOn(nullptr).code(), ErrorCode::kInvalidArgument);
+    ASSERT_TRUE(layer->StackOn(sfs.root).ok());
+    EXPECT_EQ(layer->StackOn(sfs.root).code(), ErrorCode::kAlreadyExists);
+    EXPECT_TRUE(layer->CreateFile(f, sys).ok());
+    ASSERT_TRUE(layer->Unbind(f, sys).ok());
+  }
+}
+
 // --- Sub-directory conformance over the local stacks ---
 
 enum class LocalStack {
@@ -295,6 +332,7 @@ enum class LocalStack {
   kCompfsFig6,
   kXattrfs,
   kMirrorfs,
+  kDfsServer,
 };
 
 std::string LocalStackName(const ::testing::TestParamInfo<LocalStack>& info) {
@@ -317,6 +355,8 @@ std::string LocalStackName(const ::testing::TestParamInfo<LocalStack>& info) {
       return "Xattrfs";
     case LocalStack::kMirrorfs:
       return "Mirrorfs";
+    case LocalStack::kDfsServer:
+      return "DfsServer";
   }
   return "Unknown";
 }
@@ -342,8 +382,14 @@ class SubdirConformanceTest : public ::testing::TestWithParam<LocalStack> {
           std::make_unique<MemBlockDevice>(ufs::kBlockSize, 4096));
       sfs_.push_back(*CreateSfs(devices_.back().get(), options, &clock_));
     }
+    root_ = NewTop();
+  }
+
+  // A new instance of the layer under test over the SFS instances (the SFS
+  // root itself for the plain stacks).
+  sp<StackableFs> NewTop() {
     sp<StackableFs> top;
-    switch (kind) {
+    switch (GetParam()) {
       case LocalStack::kCryptfs:
         top = CryptLayer::Create(Domain::Create("cryptfs"), "key", {},
                                  &clock_);
@@ -351,7 +397,7 @@ class SubdirConformanceTest : public ::testing::TestWithParam<LocalStack> {
       case LocalStack::kCompfsFig5:
       case LocalStack::kCompfsFig6: {
         CompLayerOptions comp;
-        comp.coherent_lower = kind == LocalStack::kCompfsFig6;
+        comp.coherent_lower = GetParam() == LocalStack::kCompfsFig6;
         top = CompLayer::Create(Domain::Create("compfs"), comp, &clock_);
         break;
       }
@@ -361,14 +407,21 @@ class SubdirConformanceTest : public ::testing::TestWithParam<LocalStack> {
       case LocalStack::kMirrorfs:
         top = MirrorLayer::Create(Domain::Create("mirrorfs"), &clock_);
         break;
+      case LocalStack::kDfsServer: {
+        network_ = std::make_unique<net::Network>(&clock_, 1000);
+        Result<sp<dfs::DfsServer>> server = dfs::DfsServer::Create(
+            network_->AddNode("server"), network_.get(), "dfs", sfs_[0].root,
+            &clock_);
+        EXPECT_TRUE(server.ok()) << server.status().ToString();
+        return server.ok() ? *server : nullptr;
+      }
       default:
-        root_ = sfs_[0].root;
-        return;
+        return sfs_[0].root;
     }
     for (const Sfs& sfs : sfs_) {
-      ASSERT_TRUE(top->StackOn(sfs.root).ok());
+      EXPECT_TRUE(top->StackOn(sfs.root).ok());
     }
-    root_ = top;
+    return top;
   }
 
   subdir_conformance::CreateFn Create() {
@@ -381,6 +434,7 @@ class SubdirConformanceTest : public ::testing::TestWithParam<LocalStack> {
   FakeClock clock_;
   std::vector<std::unique_ptr<MemBlockDevice>> devices_;
   std::vector<Sfs> sfs_;
+  std::unique_ptr<net::Network> network_;
   sp<StackableFs> root_;
 };
 
@@ -405,8 +459,29 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(LocalStack::kDisk, LocalStack::kSfsOneDomain,
                       LocalStack::kSfsTwoDomains, LocalStack::kCryptfs,
                       LocalStack::kCompfsFig5, LocalStack::kCompfsFig6,
-                      LocalStack::kXattrfs, LocalStack::kMirrorfs),
+                      LocalStack::kXattrfs, LocalStack::kMirrorfs,
+                      LocalStack::kDfsServer),
     LocalStackName);
+
+// The shadow-name checks over the layers that keep per-file shadow files
+// below.
+class ShadowNameTest : public SubdirConformanceTest {
+ protected:
+  std::string Suffix() const {
+    return GetParam() == LocalStack::kXattrfs ? ".xattr" : ".cmeta";
+  }
+};
+
+TEST_P(ShadowNameTest, ShadowNamesRefused) {
+  subdir_conformance::ExpectShadowNamesRefused(
+      root_, Create(), Suffix(), [this] { return sp<Context>(NewTop()); });
+}
+
+INSTANTIATE_TEST_SUITE_P(ShadowStacks, ShadowNameTest,
+                         ::testing::Values(LocalStack::kCompfsFig5,
+                                           LocalStack::kCompfsFig6,
+                                           LocalStack::kXattrfs),
+                         LocalStackName);
 
 // --- Cached-file conformance over the caching stacks ---
 

@@ -88,7 +88,8 @@ TEST(TraceTest, NestedRootsDoNotMix) {
 
 // Figure 7, re-proven with spans instead of counters: the bind of a local
 // client IS visible as a DFS forwarding span, but the page traffic that
-// follows never touches DFS.
+// follows never touches DFS. A file resolved through a local sub-directory
+// of the server behaves as one resolved through the root.
 TEST(TraceTest, Figure7DfsInBindTraceButNotLocalPaging) {
   FakeClock clock;
   net::Network network(&clock, 1000);
@@ -99,40 +100,50 @@ TEST(TraceTest, Figure7DfsInBindTraceButNotLocalPaging) {
       *dfs::DfsServer::Create(server_node, &network, "dfs", sfs.root, &clock);
 
   Credentials sys = Credentials::System();
-  sp<File> file = *server->CreateFile(*Name::Parse("fig7"), sys);
-  ASSERT_TRUE(file->SetLength(kPageSize).ok());
-  sp<Vmm> local_vmm = Vmm::Create(server_node->domain(), "local-vmm");
-
-  // The bind (Map) goes through DfsLocalFile, which forwards it below.
-  sp<MappedRegion> region;
-  {
-    trace::TraceRoot bind_root("map", &clock);
-    region = *local_vmm->Map(file, AccessRights::kReadWrite);
-    const trace::Span& tree = bind_root.Finish();
-    EXPECT_TRUE(trace::Contains(tree, "dfs.bind_forward"))
-        << trace::ToString(tree);
+  ASSERT_TRUE(server->CreateContext(*Name::Parse("d"), sys).ok());
+  for (const char* path : {"fig7", "d/fig7"}) {
+    sp<File> created = *server->CreateFile(*Name::Parse(path), sys);
+    ASSERT_TRUE(created->SetLength(kPageSize).ok());
   }
+  sp<Context> dir = *ResolveAs<Context>(server, "d", sys);
+  for (const sp<Context>& ctx : {sp<Context>(server), dir}) {
+    SCOPED_TRACE(ctx == dir ? "through d" : "through the root");
+    sp<File> file = *ResolveAs<File>(ctx, "fig7", sys);
+    sp<Vmm> local_vmm = Vmm::Create(server_node->domain(), "local-vmm");
 
-  // First touch: a page-in fault. DFS must not appear anywhere in it.
-  {
-    trace::TraceRoot fault_root("first_touch", &clock);
-    Buffer data(std::string("local"));
-    ASSERT_TRUE(region->Write(0, data.span()).ok());
-    const trace::Span& tree = fault_root.Finish();
-    ASSERT_TRUE(trace::Contains(tree, "vmm.fault")) << trace::ToString(tree);
-    EXPECT_TRUE(trace::FindAll(tree, "dfs.").empty())
-        << "DFS in a local page-in path:\n" << trace::ToString(tree);
-    EXPECT_TRUE(trace::FindAll(tree, "net.").empty())
-        << "network hop in a local page-in path:\n" << trace::ToString(tree);
-  }
+    // The bind (Map) goes through DfsLocalFile, which forwards it below.
+    sp<MappedRegion> region;
+    {
+      trace::TraceRoot bind_root("map", &clock);
+      region = *local_vmm->Map(file, AccessRights::kReadWrite);
+      const trace::Span& tree = bind_root.Finish();
+      EXPECT_TRUE(trace::Contains(tree, "dfs.bind_forward"))
+          << trace::ToString(tree);
+    }
 
-  // Page-out (sync flushes the dirty page): same claim.
-  {
-    trace::TraceRoot sync_root("sync", &clock);
-    ASSERT_TRUE(region->Sync().ok());
-    const trace::Span& tree = sync_root.Finish();
-    EXPECT_TRUE(trace::FindAll(tree, "dfs.").empty())
-        << "DFS in a local page-out path:\n" << trace::ToString(tree);
+    // First touch: a page-in fault. DFS must not appear anywhere in it.
+    {
+      trace::TraceRoot fault_root("first_touch", &clock);
+      Buffer data(std::string("local"));
+      ASSERT_TRUE(region->Write(0, data.span()).ok());
+      const trace::Span& tree = fault_root.Finish();
+      ASSERT_TRUE(trace::Contains(tree, "vmm.fault"))
+          << trace::ToString(tree);
+      EXPECT_TRUE(trace::FindAll(tree, "dfs.").empty())
+          << "DFS in a local page-in path:\n" << trace::ToString(tree);
+      EXPECT_TRUE(trace::FindAll(tree, "net.").empty())
+          << "network hop in a local page-in path:\n"
+          << trace::ToString(tree);
+    }
+
+    // Page-out (sync flushes the dirty page): same claim.
+    {
+      trace::TraceRoot sync_root("sync", &clock);
+      ASSERT_TRUE(region->Sync().ok());
+      const trace::Span& tree = sync_root.Finish();
+      EXPECT_TRUE(trace::FindAll(tree, "dfs.").empty())
+          << "DFS in a local page-out path:\n" << trace::ToString(tree);
+    }
   }
 }
 

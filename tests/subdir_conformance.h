@@ -5,7 +5,8 @@
 // way the layer's root answers it with "d/" prefixed: the same object type
 // for a resolve, the same hidden shadow files in a listing, the same fresh
 // file after unbind and re-create, and the same status for a bind of the
-// layer's own file. Each check builds "d" (and what it needs below it)
+// layer's own file. A layer with shadow files refuses their names through
+// "d" as through the root. Each check builds "d" (and what it needs below it)
 // itself, so call each on a fresh stack.
 
 #ifndef SPRINGFS_TESTS_SUBDIR_CONFORMANCE_H_
@@ -177,6 +178,71 @@ inline void ExpectBindMatchesRoot(const sp<Context>& root,
     ASSERT_TRUE(linked.ok()) << linked.status().ToString();
     EXPECT_EQ(SizeOf(*linked), 12u);
   }
+}
+
+// A shadow name (the layer's per-file state below, `f` + `suffix`) is
+// refused by every op through the root and through "d": Resolve and
+// Unbind find nothing there, Bind, CreateContext and CreateFile make
+// nothing. `f` keeps its bytes and attributes, also in a new stack over the
+// same storage (`reopen`) after the layer syncs.
+inline void ExpectShadowNamesRefused(
+    const sp<Context>& root, const CreateFn& create, const std::string& suffix,
+    const std::function<sp<Context>()>& reopen) {
+  Credentials sys = Credentials::System();
+  sp<Context> dir = MakeDir(root);
+  ASSERT_NE(dir, nullptr);
+  Buffer data(5000);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data.data()[i] = static_cast<uint8_t>(i * 7 + 1);
+  }
+  Buffer value(std::string("v"));
+  // The bytes and attribute `path` holds through `ctx`.
+  auto expect_intact = [&](const sp<Context>& ctx, std::string_view path) {
+    Result<sp<File>> file = ResolveAs<File>(ctx, path, sys);
+    ASSERT_TRUE(file.ok()) << path << ": " << file.status().ToString();
+    EXPECT_EQ(SizeOf(*file), data.size()) << path;
+    Buffer out(data.size());
+    ASSERT_TRUE((*file)->Read(0, out.mutable_span()).ok());
+    EXPECT_EQ(out, data) << path;
+    if (sp<XattrFile> xfile = narrow<XattrFile>(*file)) {
+      Result<Buffer> got = xfile->GetXattr("user.tag");
+      ASSERT_TRUE(got.ok()) << path << ": " << got.status().ToString();
+      EXPECT_EQ(*got, value) << path;
+    }
+  };
+  struct Case {
+    sp<Context> ctx;
+    std::string prefix;
+  };
+  for (const Case& c : {Case{root, ""}, Case{dir, "d/"}}) {
+    SCOPED_TRACE(c.prefix + "f");
+    Result<sp<File>> file = create(N(c.prefix + "f"));
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    ASSERT_TRUE((*file)->Write(0, data.span()).ok());
+    if (sp<XattrFile> xfile = narrow<XattrFile>(*file)) {
+      ASSERT_TRUE(xfile->SetXattr("user.tag", value.span()).ok());
+    }
+    ASSERT_TRUE((*file)->SyncFile().ok());
+
+    EXPECT_EQ(c.ctx->Resolve(N("f" + suffix), sys).code(),
+              ErrorCode::kNotFound);
+    EXPECT_EQ(c.ctx->Unbind(N("f" + suffix), sys).code(),
+              ErrorCode::kNotFound);
+    EXPECT_EQ(c.ctx->Bind(N("g" + suffix), *file, sys).code(),
+              ErrorCode::kInvalidArgument);
+    EXPECT_EQ(c.ctx->CreateContext(N("h" + suffix), sys).code(),
+              ErrorCode::kInvalidArgument);
+    EXPECT_EQ(create(N(c.prefix + "h" + suffix)).code(),
+              ErrorCode::kInvalidArgument);
+    expect_intact(c.ctx, "f");
+  }
+  if (sp<Fs> fs = narrow<Fs>(root)) {
+    ASSERT_TRUE(fs->SyncFs().ok());
+  }
+  sp<Context> fresh = reopen();
+  ASSERT_NE(fresh, nullptr);
+  expect_intact(fresh, "f");
+  expect_intact(fresh, "d/f");
 }
 
 }  // namespace springfs::subdir_conformance
